@@ -38,51 +38,71 @@ func pointOf(j *workload.Job) histstore.Point {
 // fraction for relative ones), the confidence-interval half-width in the
 // same space, and whether the category could provide a valid prediction.
 func estimateCategory(c *histstore.Category, t Template, nodes int, age int64, level float64) (pred, half float64, ok bool) {
-	return estimateWith(c, t, nodes, age, level, nil)
-}
-
-// estimateWith is the shared estimate body. With a non-nil predictor it
-// reads that predictor's memoized Student-t quantiles (p.level must equal
-// level); with nil it computes them directly. Both produce bit-for-bit
-// identical results — the memo only avoids re-deriving a pure function of
-// (level, n) on every request.
-func estimateWith(c *histstore.Category, t Template, nodes int, age int64, level float64, p *Predictor) (pred, half float64, ok bool) {
 	need := t.minPoints()
 	if c.Size() < need {
 		return 0, 0, false
 	}
+	if t.Pred != PredMean {
+		return estimateRegression(c, t, nodes, age, level)
+	}
 
-	// Fast path: mean prediction with no age filter consumes the
-	// aggregates finalized at observe time — no moment arithmetic at all.
-	if t.Pred == PredMean && (!t.UseAge || age <= 0) {
-		var mean, v float64
-		var n int
+	var mean, v float64
+	var n int
+	if !t.UseAge || age <= 0 {
+		// Fast path: the aggregates finalized at observe time — no moment
+		// arithmetic at all.
 		if t.Relative {
 			mean, v, n = c.RatStats()
 		} else {
 			mean, v, n = c.AbsStats()
 		}
+		if n < need || math.IsNaN(v) {
+			return 0, 0, false
+		}
+	} else {
+		// Age-conditioned mean, which every running job of a forward
+		// simulation asks for: Welford's recurrence folded over the points
+		// the job has not outlived, with exactly stats.MeanVar's
+		// operations in exactly its order, so the result is bit-for-bit
+		// stats.MeanCI over the collected samples without collecting them.
+		var m2 float64
+		c.ForEach(func(p histstore.Point) {
+			if p.RunTime <= float64(age) {
+				return
+			}
+			y := p.RunTime
+			if t.Relative {
+				y = p.Ratio
+				if math.IsNaN(y) {
+					return
+				}
+			}
+			n++
+			d := y - mean
+			mean += d / float64(n)
+			m2 += d * (y - mean)
+		})
 		if n < need {
 			return 0, 0, false
 		}
-		if math.IsNaN(v) {
-			return 0, 0, false
-		}
-		if v == 0 { //lint:allow floatcmp exact-zero variance guard for a category of identical run times
-			return mean, 0, true
-		}
-		var tq float64
-		if p != nil {
-			tq = p.tQuantile(n)
-		} else {
-			tq = stats.TQuantile(0.5+level/2, float64(n-1))
-		}
-		return mean, tq * math.Sqrt(v/float64(n)), true
+		v = m2 / float64(n-1)
 	}
+	if v == 0 { //lint:allow floatcmp exact-zero variance guard for a category of identical run times
+		return mean, 0, true
+	}
+	tq := stats.TQuantile(0.5+level/2, float64(n-1))
+	return mean, tq * math.Sqrt(v/float64(n)), true
+}
 
-	// General path: collect the relevant values.
+// estimateRegression is estimateCategory for the regression prediction
+// types: it collects the (nodes, value) samples the template admits and
+// fits the regression the template names.
+func estimateRegression(c *histstore.Category, t Template, nodes int, age int64, level float64) (pred, half float64, ok bool) {
 	filterAge := t.UseAge && age > 0
-	var ys, xs []float64
+	size := c.Size()
+	buf := make([]float64, 2*size) //lint:allow hotpath regression templates fit over collected samples; one exact-size buffer per fit, never reached by mean templates
+	ys, xs := buf[:size], buf[size:]
+	k := 0
 	c.ForEach(func(p histstore.Point) {
 		if filterAge && p.RunTime <= float64(age) {
 			return
@@ -94,20 +114,15 @@ func estimateWith(c *histstore.Category, t Template, nodes int, age int64, level
 				return
 			}
 		}
-		ys = append(ys, y)       //lint:allow hotpath general-path sample collection, sized by the category history caps; part of the committed allocs/op floor
-		xs = append(xs, p.Nodes) //lint:allow hotpath general-path sample collection; part of the committed allocs/op floor
+		ys[k], xs[k] = y, p.Nodes
+		k++
 	})
-	if len(ys) < need {
+	if k < t.minPoints() {
 		return 0, 0, false
 	}
+	ys, xs = ys[:k], xs[:k]
 
 	switch t.Pred {
-	case PredMean:
-		mean, h, err := stats.MeanCI(ys, level)
-		if err != nil {
-			return 0, 0, false
-		}
-		return mean, h, true
 	case PredLinear:
 		r, err := stats.FitLinear(xs, ys)
 		if err != nil {

@@ -90,8 +90,8 @@ func (p *Predictor) SaveState(w io.Writer) error {
 		})
 	} else {
 		cats = make([]stateCategory, 0, len(p.cats))
-		for key, c := range p.cats {
-			cats = append(cats, stateCategoryOf(key, c))
+		for key, r := range p.cats {
+			cats = append(cats, stateCategoryOf(key, r.c))
 		}
 	}
 	bw := bufio.NewWriter(w)
@@ -128,7 +128,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if hdr.Templates != p.templateFingerprint() {
 		return fmt.Errorf("core: checkpoint was created under a different template set")
 	}
-	cats := make(map[string]*histstore.Category, hdr.Categories)
+	cats := make(map[string]catRef, hdr.Categories)
 	for i := 0; i < hdr.Categories; i++ {
 		var sc stateCategory
 		if err := dec.Decode(&sc); err != nil {
@@ -146,12 +146,12 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("core: checkpoint category %q: %v", sc.Key, err)
 		}
-		cats[sc.Key] = c
+		cats[sc.Key] = catRef{c: c, key: sc.Key}
 	}
 	if p.store != nil {
 		p.store.Reset()
-		for key, c := range cats {
-			p.store.Put(key, c)
+		for key, r := range cats {
+			p.store.Put(key, r.c)
 		}
 		return nil
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/histstore"
 	"repro/internal/obs/trace"
 	"repro/internal/predict"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -43,21 +42,21 @@ type Prediction struct {
 type Predictor struct {
 	templates  []Template
 	level      float64
-	cats       map[string]*histstore.Category // batch mode; nil when store-backed
-	store      *histstore.Store               // store-backed mode; nil in batch mode
+	cats       map[string]catRef // batch mode; nil when store-backed
+	store      *histstore.Store  // store-backed mode; nil in batch mode
 	name       string
 	firstMatch bool
 
 	onStoreErr func(error)  // called on store insert failures (WAL errors)
 	storeErr   atomic.Value // sticky first insert error, boxed as storedErr
+}
 
-	// tq memoizes Student-t quantiles for the predictor's confidence level,
-	// keyed by sample count. The map is copy-on-write behind an atomic
-	// pointer so the predict hot path stays mutex-free: a miss clones the
-	// map, adds the entry, and swaps the pointer. Concurrent misses may lose
-	// each other's updates, which is benign — TQuantile is a pure function
-	// of (level, n), so a re-derived entry is always bit-identical.
-	tq atomic.Pointer[map[int]float64]
+// catRef is a resolved category and the key string it is stored under, so
+// a detailed prediction can report the winning key without rendering it
+// again. A nil c is a miss (cached as such within one batch).
+type catRef struct {
+	c   *histstore.Category
+	key string
 }
 
 // storedErr boxes store insert failures in one concrete type, as
@@ -121,7 +120,7 @@ func New(templates []Template, opts ...Option) *Predictor {
 	p := &Predictor{
 		templates: append([]Template(nil), templates...),
 		level:     DefaultConfidence,
-		cats:      make(map[string]*histstore.Category),
+		cats:      make(map[string]catRef),
 		name:      "smith",
 	}
 	for _, o := range opts {
@@ -162,32 +161,6 @@ func (p *Predictor) recordStoreErr(err error) {
 	p.storeErr.CompareAndSwap(nil, storedErr{err})
 }
 
-// tQuantile returns stats.TQuantile(0.5+p.level/2, n-1), memoized. The
-// distinct sample counts a predictor ever sees are bounded by the category
-// history caps, so the memo converges to a small read-only map and the hot
-// path settles into a single pointer load plus map probe.
-func (p *Predictor) tQuantile(n int) float64 {
-	if m := p.tq.Load(); m != nil {
-		if v, ok := (*m)[n]; ok {
-			return v
-		}
-	}
-	v := stats.TQuantile(0.5+p.level/2, float64(n-1))
-	old := p.tq.Load()
-	var nm map[int]float64
-	if old == nil {
-		nm = map[int]float64{n: v} //lint:allow hotpath warm-up-only COW memo; converges once every sample count has been seen
-	} else {
-		nm = make(map[int]float64, len(*old)+1) //lint:allow hotpath warm-up-only COW memo rebuild; the steady state is the read above
-		for k, x := range *old {
-			nm[k] = x //lint:allow hotpath writes touch the private successor map, never the published snapshot
-		}
-		nm[n] = v //lint:allow hotpath warm-up-only write to the private successor map
-	}
-	p.tq.Store(&nm)
-	return v
-}
-
 // Categories returns the number of categories currently stored.
 func (p *Predictor) Categories() int {
 	if p.store != nil {
@@ -204,8 +177,8 @@ func (p *Predictor) HistorySize() int {
 		return p.store.Points()
 	}
 	var n int
-	for _, c := range p.cats {
-		n += c.Size()
+	for _, r := range p.cats {
+		n += r.c.Size()
 	}
 	return n
 }
@@ -214,24 +187,31 @@ func (p *Predictor) HistorySize() int {
 // compute an estimate with a confidence interval from each category that
 // can provide a valid one, and return the estimate with the smallest
 // interval (paper step 2).
+//
+// hotpath: no-lock no-alloc no-clock
 func (p *Predictor) Predict(j *workload.Job, age int64) (int64, bool) {
-	pr, ok := p.PredictDetailed(j, age)
+	pr, ok := p.predictDetailed(context.Background(), nil, j, age, nil)
 	if !ok {
 		return 0, false
 	}
 	return pr.Seconds, true
 }
 
-// PredictDetailed is Predict with full diagnostic detail.
+// PredictDetailed is Predict with full diagnostic detail. The winning
+// category key is the string the category is stored under (the store's
+// category handle in store-backed mode, the map entry in batch mode), so
+// reporting it copies no bytes.
 //
 // The hotpath contract below is the static half of the benchmark
 // trajectory's claim (BENCH_<pr>.json, DESIGN.md §10–§11): no call path
-// from here may acquire a mutex, block on a channel, or read the wall
-// clock. The allocation half is enforced to the same boundary the bench
-// gate measures — the remaining allocation sites (template key
-// rendering, the general estimate path, one-time memo warm-up) each
-// carry a sited //lint:allow justification tying them to the committed
-// allocs/op floor.
+// from here may acquire a mutex, block on a channel, read the wall clock,
+// or allocate. Category keys are rendered into a stack buffer and probe
+// the category tables without becoming strings, and the estimate streams
+// over the category. Two allocation sites remain, each with a sited
+// //lint:allow justification: a key longer than the stack buffer, and the
+// regression templates' sample buffer. The store's metrics clock sits
+// behind a nil guard, and the t-quantile memo's first-touch fill is an
+// exempt warm-up boundary.
 //
 // hotpath: no-lock no-alloc no-clock
 func (p *Predictor) PredictDetailed(j *workload.Job, age int64) (Prediction, bool) {
@@ -297,9 +277,9 @@ func (p *Predictor) PredictDetailedBatchCtx(ctx context.Context, items []BatchIt
 	if bsp != nil {
 		bsp.SetAttrInt("jobs", int64(len(items)))
 	}
-	var cache map[string]cachedCat
+	var cache map[string]catRef
 	if p.store != nil && len(items) > 1 {
-		cache = make(map[string]cachedCat, len(p.templates)) //lint:allow hotpath one snapshot cache per batch buys at-most-once store lookups
+		cache = make(map[string]catRef, len(p.templates)) //lint:allow hotpath one snapshot cache per batch buys at-most-once store lookups
 	}
 	for i, it := range items {
 		if it.Job == nil {
@@ -325,21 +305,17 @@ func (p *Predictor) PredictDetailedBatchCtx(ctx context.Context, items []BatchIt
 	return out
 }
 
-// cachedCat is one entry of a batch's key→category resolve cache; ok=false
-// caches a definitive miss so repeated misses skip the store too.
-type cachedCat struct {
-	c  *histstore.Category
-	ok bool
-}
-
-// lookup resolves a category key against the backing store: a lock-free
-// snapshot load, recorded as a "histstore.view" child span when tsp is an
-// open template_match span.
-func (p *Predictor) lookup(ctx context.Context, tsp *trace.Span, key string) (*histstore.Category, bool) {
+// lookup resolves a rendered category key against the backing store: a
+// lock-free snapshot load, recorded as a "histstore.view" child span when
+// tsp is an open template_match span.
+func (p *Predictor) lookup(ctx context.Context, tsp *trace.Span, key []byte) catRef {
+	var r catRef
 	if tsp != nil {
-		return p.store.GetCtx(trace.ContextWithSpan(ctx, tsp), key)
+		r.c, r.key, _ = p.store.GetCtx(trace.ContextWithSpan(ctx, tsp), key)
+	} else {
+		r.c, r.key, _ = p.store.Get(key) //lint:allow ctxflow no active trace when the span is nil; the ctx-less fast path skips a second StartSpan on the hot predict loop
 	}
-	return p.store.Get(key) //lint:allow ctxflow no active trace when the span is nil; the ctx-less fast path skips a second StartSpan on the hot predict loop
+	return r
 }
 
 // predictDetailed is the shared prediction body; sp, when non-nil, is the
@@ -347,52 +323,46 @@ func (p *Predictor) lookup(ctx context.Context, tsp *trace.Span, key string) (*h
 // non-nil, memoizes store lookups (including misses) across the calls of
 // one batch; single predictions pass nil and pay no cache overhead.
 //
-// Store-backed, the category lookup is a lock-free snapshot load
-// (store.Get) and the estimate consumes the category's finalized moments —
-// the predict hot path acquires no mutexes at all.
-func (p *Predictor) predictDetailed(ctx context.Context, sp *trace.Span, j *workload.Job, age int64, cache map[string]cachedCat) (Prediction, bool) {
+// Each template's key is rendered into one stack buffer and indexes the
+// category tables directly (m[string(b)] does not allocate). Store-backed,
+// the category lookup is a lock-free snapshot load (store.Get) and the
+// estimate consumes the category's finalized moments or streams over its
+// points — the predict hot path acquires no mutexes and builds no strings.
+func (p *Predictor) predictDetailed(ctx context.Context, sp *trace.Span, j *workload.Job, age int64, cache map[string]catRef) (Prediction, bool) {
+	var kb [keyBufSize]byte
 	best := Prediction{Interval: math.Inf(1), Template: -1}
 	found := false
 	for i, t := range p.templates {
 		if t.Relative && j.MaxRunTime <= 0 {
 			continue
 		}
-		key := t.Key(i, j)
+		key := t.AppendKey(kb[:0], i, j)
 		var (
 			val, half float64
 			ok        bool
 			n         int
 		)
 		tsp := sp.StartChild("template_match")
-		var c *histstore.Category
-		var exists bool
+		var r catRef
 		switch {
 		case p.store == nil:
-			c, exists = p.cats[key]
+			r = p.cats[string(key)]
 		case cache != nil:
-			e, hit := cache[key]
-			if !hit {
-				e.c, e.ok = p.lookup(ctx, tsp, key)
-				cache[key] = e //lint:allow hotpath batch-local snapshot cache, bounded by the template count
+			var hit bool
+			if r, hit = cache[string(key)]; !hit {
+				r = p.lookup(ctx, tsp, key)
+				cache[string(key)] = r //lint:allow hotpath batch-local snapshot cache, bounded by the template count
 			}
-			c, exists = e.c, e.ok
 		default:
-			c, exists = p.lookup(ctx, tsp, key)
+			r = p.lookup(ctx, tsp, key)
 		}
-		if exists {
+		if r.c != nil {
 			esp := tsp.StartChild("estimate")
-			val, half, ok = estimateWith(c, t, j.Nodes, age, p.level, p)
-			n = c.Size()
+			val, half, ok = estimateCategory(r.c, t, j.Nodes, age, p.level)
+			n = r.c.Size()
 			esp.End()
 		}
-		if tsp != nil {
-			tsp.SetAttrInt("template", int64(i))
-			tsp.SetAttr("category", key)
-			if !ok {
-				tsp.SetAttr("hit", "false")
-			}
-			tsp.End()
-		}
+		endTemplateSpan(tsp, i, key, ok)
 		if !ok {
 			continue
 		}
@@ -417,7 +387,7 @@ func (p *Predictor) predictDetailed(ctx context.Context, sp *trace.Span, j *work
 				Seconds:  int64(math.Round(sec)),
 				Interval: halfSec,
 				Template: i,
-				Category: key,
+				Category: r.key,
 				N:        n,
 			}
 		}
@@ -432,6 +402,22 @@ func (p *Predictor) predictDetailed(ctx context.Context, sp *trace.Span, j *work
 		best.Seconds = 1
 	}
 	return best, true
+}
+
+// endTemplateSpan annotates and ends a template_match span (a no-op for
+// the nil span of an untraced prediction).
+//
+// hotpath: exempt span plumbing runs only when a trace is sampled; the key string is built for the span attribute alone
+func endTemplateSpan(tsp *trace.Span, i int, key []byte, ok bool) {
+	if tsp == nil {
+		return
+	}
+	tsp.SetAttrInt("template", int64(i))
+	tsp.SetAttr("category", string(key))
+	if !ok {
+		tsp.SetAttr("hit", "false")
+	}
+	tsp.End()
 }
 
 // Observe implements predict.Predictor: insert the completed job into the
@@ -454,10 +440,12 @@ func (p *Predictor) ObserveCtx(ctx context.Context, j *workload.Job) {
 }
 
 func (p *Predictor) observe(ctx context.Context, sp *trace.Span, j *workload.Job) {
+	var kb [keyBufSize]byte
 	pt := pointOf(j)
 	for i, t := range p.templates {
-		key := t.Key(i, j)
+		b := t.AppendKey(kb[:0], i, j)
 		if p.store != nil {
+			key := string(b)
 			var err error
 			if sp != nil {
 				err = p.store.InsertCtx(ctx, key, t.MaxHistory, pt)
@@ -472,12 +460,12 @@ func (p *Predictor) observe(ctx context.Context, sp *trace.Span, j *workload.Job
 			}
 			continue
 		}
-		c, ok := p.cats[key]
+		r, ok := p.cats[string(b)]
 		if !ok {
-			c = histstore.NewCategory(t.MaxHistory)
-			p.cats[key] = c
+			r = catRef{c: histstore.NewCategory(t.MaxHistory), key: string(b)}
+			p.cats[r.key] = r
 		}
-		c.Insert(pt)
+		r.c.Insert(pt)
 	}
 }
 

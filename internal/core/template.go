@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/workload"
@@ -120,20 +121,34 @@ func (t Template) Applicable(chars workload.CharMask, hasMaxRT bool) bool {
 	return true
 }
 
-// Key builds the category key for a job under this template. Keys embed the
-// template's identity (its index in the template set), so identical value
-// combinations under different templates stay distinct.
-func (t Template) Key(idx int, j *workload.Job) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d", idx) //lint:allow hotpath key rendering is the measured allocs/op floor of the committed BENCH trajectory
-	for _, c := range t.Chars.Chars() {
-		b.WriteByte('|')                   //lint:allow hotpath builder growth is part of the key-rendering floor
-		b.WriteString(j.Characteristic(c)) //lint:allow hotpath builder growth is part of the key-rendering floor
+// keyBufSize is the stack buffer the predictor renders category keys
+// into. Keys are the template index plus the job's characteristic values,
+// so real traces stay far below it; a longer key grows onto the heap.
+const keyBufSize = 256
+
+// AppendKey appends the category key for a job under this template to b
+// and returns the extended slice. Keys embed the template's identity (its
+// index in the template set), so identical value combinations under
+// different templates stay distinct. Rendering into a caller-supplied
+// buffer lets the predict path probe the category tables with a stack
+// array and never build a key string.
+func (t Template) AppendKey(b []byte, idx int, j *workload.Job) []byte {
+	b = strconv.AppendInt(b, int64(idx), 10)
+	for c := workload.Char(0); c < workload.NumChars; c++ {
+		if t.Chars.Has(c) {
+			b = appendField(b, j.Characteristic(c))
+		}
 	}
 	if t.UseNodes {
-		fmt.Fprintf(&b, "|n%d", t.nodeBucket(j.Nodes)) //lint:allow hotpath key rendering is part of the committed allocs/op floor
+		b = appendField(b, "n")
+		b = strconv.AppendInt(b, int64(t.nodeBucket(j.Nodes)), 10)
 	}
-	return b.String() //lint:allow hotpath one string per key is the floor the bench gate tracks
+	return b
+}
+
+// appendField appends a '|' separator and s to b.
+func appendField(b []byte, s string) []byte {
+	return append(append(b, '|'), s...) //lint:allow hotpath grows onto the heap only for a key longer than the caller's keyBufSize stack buffer
 }
 
 // String renders the template like the paper, e.g. "(u,e,n=4,h=1024,rel,age,mean)".

@@ -7,18 +7,51 @@ import (
 	"repro/internal/workload"
 )
 
+// key renders a template's category key as a string.
+func key(tpl Template, idx int, j *workload.Job) string {
+	return string(tpl.AppendKey(nil, idx, j))
+}
+
+// TestTemplateKeyFormat pins the rendered key bytes: durable stores hold
+// categories under these keys, so the format must never drift.
+func TestTemplateKeyFormat(t *testing.T) {
+	j := &workload.Job{Queue: "q1", User: "alice", Executable: "a.out", Arguments: "-v", Nodes: 17}
+	cases := []struct {
+		tpl  Template
+		idx  int
+		want string
+	}{
+		{Template{}, 0, "0"},
+		{Template{Chars: workload.MaskOf(workload.CharUser)}, 7, "7|alice"},
+		{Template{Chars: workload.MaskOf(workload.CharExec, workload.CharUser, workload.CharQueue)}, 12, "12|q1|alice|a.out"},
+		{Template{Chars: workload.MaskOf(workload.CharUser, workload.CharArgs), UseNodes: true, NodeRange: 8}, 3, "3|alice|-v|n2"},
+		{Template{UseNodes: true}, 1, "1|n16"},
+	}
+	for _, c := range cases {
+		if got := key(c.tpl, c.idx, j); got != c.want {
+			t.Errorf("%v key = %q, want %q", c.tpl, got, c.want)
+		}
+	}
+	// Appending extends the caller's buffer in place when it has room.
+	buf := make([]byte, 0, keyBufSize)
+	user := Template{Chars: workload.MaskOf(workload.CharUser)}
+	if got := user.AppendKey(buf, 4, j); &got[0] != &buf[:1][0] || string(got) != "4|alice" {
+		t.Errorf("AppendKey did not render into the supplied buffer: %q", got)
+	}
+}
+
 func TestTemplateKeyPartitions(t *testing.T) {
 	tpl := Template{Chars: workload.MaskOf(workload.CharUser, workload.CharExec)}
 	a := &workload.Job{User: "alice", Executable: "a.out", Nodes: 4}
 	b := &workload.Job{User: "alice", Executable: "a.out", Nodes: 64}
 	c := &workload.Job{User: "bob", Executable: "a.out", Nodes: 4}
-	if tpl.Key(0, a) != tpl.Key(0, b) {
+	if key(tpl, 0, a) != key(tpl, 0, b) {
 		t.Error("same user+exec should share a category when nodes unused")
 	}
-	if tpl.Key(0, a) == tpl.Key(0, c) {
+	if key(tpl, 0, a) == key(tpl, 0, c) {
 		t.Error("different users must not share a category")
 	}
-	if tpl.Key(0, a) == tpl.Key(1, a) {
+	if key(tpl, 0, a) == key(tpl, 1, a) {
 		t.Error("same values under different template indices must stay distinct")
 	}
 }
@@ -28,7 +61,7 @@ func TestTemplateNodeBuckets(t *testing.T) {
 	// (u, n=4) generates (wsmith, 1-4 nodes) and (wsmith, 5-8 nodes)).
 	tpl := Template{Chars: workload.MaskOf(workload.CharUser), UseNodes: true, NodeRange: 4}
 	k := func(n int) string {
-		return tpl.Key(0, &workload.Job{User: "wsmith", Nodes: n})
+		return key(tpl, 0, &workload.Job{User: "wsmith", Nodes: n})
 	}
 	if k(1) != k(4) {
 		t.Error("nodes 1 and 4 should share a bucket")
@@ -46,7 +79,7 @@ func TestTemplateKeyAmbiguity(t *testing.T) {
 	tpl := Template{Chars: workload.MaskOf(workload.CharUser, workload.CharExec)}
 	a := &workload.Job{User: "ab", Executable: "c"}
 	b := &workload.Job{User: "a", Executable: "bc"}
-	if tpl.Key(0, a) == tpl.Key(0, b) {
+	if key(tpl, 0, a) == key(tpl, 0, b) {
 		t.Error("key is ambiguous across characteristic boundaries")
 	}
 }

@@ -17,6 +17,16 @@ func benchKeys(n int) []string {
 	return keys
 }
 
+// byteKeys renders keys the way the predictor probes the store: as byte
+// slices prepared before the timed loop.
+func byteKeys(keys []string) [][]byte {
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i] = []byte(k)
+	}
+	return out
+}
+
 // BenchmarkStoreInsert measures parallel streaming inserts into the
 // sharded in-memory store — the per-completion cost of the online path.
 func BenchmarkStoreInsert(b *testing.B) {
@@ -48,6 +58,7 @@ func BenchmarkStoreInsertPredict(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	bkeys := byteKeys(keys)
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -56,14 +67,14 @@ func BenchmarkStoreInsertPredict(b *testing.B) {
 		rng := rand.New(rand.NewSource(id))
 		write := id%5 == 0
 		for pb.Next() {
-			k := keys[rng.Intn(len(keys))]
+			i := rng.Intn(len(keys))
 			if write {
-				if err := s.Insert(k, 1024, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
+				if err := s.Insert(keys[i], 1024, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
 					b.Fatal(err)
 				}
 				continue
 			}
-			s.View(k, func(c *Category) {
+			s.View(bkeys[i], func(c *Category) {
 				mean, v := c.Abs().MeanVar()
 				_ = mean
 				_ = v
@@ -86,10 +97,11 @@ func BenchmarkStoreGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	bkeys := byteKeys(keys)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, ok := s.Get(keys[i%len(keys)])
+		c, _, ok := s.Get(bkeys[i%len(bkeys)])
 		if ok {
 			_, _, _ = c.AbsStats()
 		}
@@ -109,13 +121,14 @@ func BenchmarkStoreGetParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	bkeys := byteKeys(keys)
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(ctr.Add(1)))
 		for pb.Next() {
-			c, ok := s.Get(keys[rng.Intn(len(keys))])
+			c, _, ok := s.Get(bkeys[rng.Intn(len(bkeys))])
 			if ok {
 				_, _, _ = c.AbsStats()
 			}

@@ -44,7 +44,7 @@ func mustEqualStores(t *testing.T, want, got *Store) {
 			want.Categories(), got.Categories(), want.Points(), got.Points())
 	}
 	want.ForEach(func(key string, wc *Category) {
-		ok := got.View(key, func(gc *Category) {
+		ok := got.View([]byte(key), func(gc *Category) {
 			ws, gs := wc.state(), gc.state()
 			if ws.MaxHistory != gs.MaxHistory || ws.Head != gs.Head || len(ws.Points) != len(gs.Points) {
 				t.Fatalf("key %s: ring mismatch %+v vs %+v", key, ws, gs)

@@ -60,8 +60,12 @@ type shardView struct {
 
 // catHandle is the mutation point for one category: inserts swap cur to
 // the next immutable snapshot while the handle itself stays in the map, so
-// per-point writes never have to republish the key table.
+// per-point writes never have to republish the key table. key is the
+// category's key string, shared with the key table, so a reader that
+// probed with a rendered byte key can report the key without copying it.
 type catHandle struct {
+	key string
+
 	// cur is replaced only while the owning shard's mu is held; it cannot
 	// carry a "swapped under" annotation because its guard lives in a
 	// different struct, which is exactly why inserts route through the
@@ -218,10 +222,12 @@ func (s *Store) refreshGauges(m *storeMetrics) {
 func (s *Store) RefreshMetrics() { s.refreshGauges(s.metrics.Load()) }
 
 // shardOf returns the shard owning key.
-func (s *Store) shardOf(key string) *shard {
-	h := maphash.String(s.seed, key)
-	return &s.shards[h&uint64(len(s.shards)-1)]
-}
+func (s *Store) shardOf(key string) *shard { return s.shardAt(maphash.String(s.seed, key)) }
+
+// shardAt returns the shard owning a key whose hash under s.seed is h.
+// maphash.String and maphash.Bytes agree on equal contents, so a string
+// key and its rendered bytes land on the same shard.
+func (s *Store) shardAt(h uint64) *shard { return &s.shards[h&uint64(len(s.shards)-1)] }
 
 // Insert records one completed-job point under key, creating the category
 // (with the given history bound) on first use. Invalid points (see
@@ -333,7 +339,7 @@ func (s *Store) applyLocked(sh *shard, key string, maxHistory int, p Point) erro
 	}
 	c := NewCategory(maxHistory)
 	c.Insert(p)
-	h := &catHandle{}
+	h := &catHandle{key: key}
 	h.cur.Store(c)
 	sh.view.Store(v.withKey(key, h))
 	s.nCats.Add(1)
@@ -352,23 +358,26 @@ func (v *shardView) withKey(key string, h *catHandle) *shardView {
 }
 
 // Get returns the current immutable snapshot of the category stored under
-// key. The lookup is lock-free (two atomic loads and a map probe) and the
-// returned category is never mutated afterwards — an insert racing with
-// Get builds and publishes a successor snapshot instead — so the caller
-// may read it for as long as it likes, but must not modify it.
+// key, and the key string the store holds it under. The lookup is
+// lock-free (two atomic loads and a map probe) and allocation-free: the
+// caller renders the key into its own buffer, and the store indexes its
+// table with it without converting it to a string. The returned category
+// is never mutated afterwards — an insert racing with Get builds and
+// publishes a successor snapshot instead — so the caller may read it for
+// as long as it likes, but must not modify it.
 //
 // hotpath: no-lock no-alloc no-clock
-func (s *Store) Get(key string) (*Category, bool) {
+func (s *Store) Get(key []byte) (c *Category, stored string, ok bool) {
 	m := s.metrics.Load()
 	var start time.Time
 	if m != nil {
 		start = time.Now() //lint:allow hotpath self-instrumentation: the predict-latency metric needs the clock; skipped when metrics are off
 	}
-	c, ok := s.get(key)
+	c, stored, ok = s.get(key)
 	if m != nil {
 		m.predictLat.Observe(time.Since(start).Seconds()) //lint:allow hotpath self-instrumentation clock read; skipped when metrics are off
 	}
-	return c, ok
+	return c, stored, ok
 }
 
 // GetCtx is Get with the lookup recorded as a child span of the trace
@@ -376,27 +385,27 @@ func (s *Store) Get(key string) (*Category, bool) {
 // an active trace it is exactly Get.
 //
 // hotpath: exempt span plumbing runs only when a trace is sampled; untraced requests take Get directly
-func (s *Store) GetCtx(ctx context.Context, key string) (*Category, bool) {
+func (s *Store) GetCtx(ctx context.Context, key []byte) (*Category, string, bool) {
 	_, sp := trace.StartSpan(ctx, "histstore.view")
 	if sp == nil {
 		return s.Get(key)
 	}
-	sp.SetAttr("category", key)
-	c, ok := s.Get(key)
+	sp.SetAttr("category", string(key))
+	c, stored, ok := s.Get(key)
 	if !ok {
 		sp.SetAttr("hit", "false")
 	}
 	sp.End()
-	return c, ok
+	return c, stored, ok
 }
 
 // get is the uninstrumented snapshot lookup.
-func (s *Store) get(key string) (*Category, bool) {
-	h, ok := s.shardOf(key).loadView().cats[key]
+func (s *Store) get(key []byte) (*Category, string, bool) {
+	h, ok := s.shardAt(maphash.Bytes(s.seed, key)).loadView().cats[string(key)]
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
-	return h.cur.Load(), true
+	return h.cur.Load(), h.key, true
 }
 
 // View runs f on the current snapshot of the category stored under key and
@@ -405,8 +414,8 @@ func (s *Store) get(key string) (*Category, bool) {
 // Get for callers structured around a visitor.
 //
 // hotpath: no-lock no-alloc no-clock
-func (s *Store) View(key string, f func(*Category)) bool {
-	c, ok := s.Get(key)
+func (s *Store) View(key []byte, f func(*Category)) bool {
+	c, _, ok := s.Get(key)
 	if ok {
 		f(c)
 	}
@@ -416,8 +425,8 @@ func (s *Store) View(key string, f func(*Category)) bool {
 // ViewCtx is View with the lookup recorded as a child span of the trace
 // active in ctx ("histstore.view", category and hit attributes). Without
 // an active trace it is exactly View.
-func (s *Store) ViewCtx(ctx context.Context, key string, f func(*Category)) bool {
-	c, ok := s.GetCtx(ctx, key)
+func (s *Store) ViewCtx(ctx context.Context, key []byte, f func(*Category)) bool {
+	c, _, ok := s.GetCtx(ctx, key)
 	if ok {
 		f(c)
 	}
@@ -443,7 +452,7 @@ func (s *Store) Put(key string, c *Category) {
 		sh.mu.Unlock()
 		return
 	}
-	h := &catHandle{}
+	h := &catHandle{key: key}
 	h.cur.Store(c)
 	sh.view.Store(v.withKey(key, h))
 	s.nCats.Add(1)

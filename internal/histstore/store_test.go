@@ -34,7 +34,7 @@ func TestStoreInsertAndView(t *testing.T) {
 	}
 	var mean float64
 	var n int
-	if !s.View("k1", func(c *Category) {
+	if !s.View([]byte("k1"), func(c *Category) {
 		mean, _ = c.Abs().MeanVar()
 		n = c.Size()
 	}) {
@@ -43,15 +43,43 @@ func TestStoreInsertAndView(t *testing.T) {
 	if n != 2 || mean != 110 {
 		t.Fatalf("k1: n=%d mean=%v, want 2/110", n, mean)
 	}
-	if s.View("nope", func(*Category) { t.Fatal("callback on missing key") }) {
+	if s.View([]byte("nope"), func(*Category) { t.Fatal("callback on missing key") }) {
 		t.Fatal("missing key reported present")
 	}
 	// Ratio moments only count points that carried a maximum.
-	s.View("k1", func(c *Category) {
+	s.View([]byte("k1"), func(c *Category) {
 		if c.Rat().N != 1 {
 			t.Fatalf("ratio n = %d, want 1", c.Rat().N)
 		}
 	})
+}
+
+// TestStoreGetByteKey checks the read-side contract: a rendered byte key
+// finds the category inserted under its string form (the shard hash of
+// the bytes matches the string's), Get reports the key the store holds,
+// Put-installed categories carry their key too, and a lookup allocates
+// nothing.
+func TestStoreGetByteKey(t *testing.T) {
+	s := New(WithShards(16))
+	for i := 0; i < 64; i++ {
+		if err := s.Insert(fmt.Sprintf("%d|user%d", i%5, i), 0, pt(float64(10+i), 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Put("put|key", NewCategory(0))
+	for _, k := range []string{"0|user0", "3|user63", "put|key"} {
+		buf := append(make([]byte, 0, 32), k...)
+		c, stored, ok := s.Get(buf)
+		if !ok || c == nil || stored != k {
+			t.Fatalf("Get(%q) = %v, %q, %v", k, c, stored, ok)
+		}
+		if n := testing.AllocsPerRun(50, func() { s.Get(buf) }); n != 0 {
+			t.Errorf("Get(%q): %v allocs per run, want 0", k, n)
+		}
+	}
+	if c, stored, ok := s.Get([]byte("0|nobody")); ok || c != nil || stored != "" {
+		t.Fatalf("missing key: %v, %q, %v", c, stored, ok)
+	}
 }
 
 func TestStoreBoundedEviction(t *testing.T) {
@@ -69,7 +97,7 @@ func TestStoreBoundedEviction(t *testing.T) {
 	if s.Points() != 4 {
 		t.Fatalf("points = %d, want history bound 4", s.Points())
 	}
-	s.View("k", func(c *Category) {
+	s.View([]byte("k"), func(c *Category) {
 		mean, v := c.Abs().MeanVar()
 		if mean != 500 || v != 0 {
 			t.Fatalf("post-eviction moments = (%v, %v), want (500, 0)", mean, v)
@@ -189,7 +217,7 @@ func TestStoreConcurrentInsertPredict(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			for i := 0; i < inserts; i++ {
 				k := fmt.Sprintf("cat-%d", rng.Intn(keys))
-				s.View(k, func(c *Category) {
+				s.View([]byte(k), func(c *Category) {
 					mean, _ := c.Abs().MeanVar()
 					if c.Size() > 0 && (math.IsNaN(mean) || mean <= 0) {
 						t.Errorf("key %s: mean %v with %d points", k, mean, c.Size())

@@ -117,6 +117,32 @@ func (g *Graph) Effects(n *Node) []Effect {
 	}
 	info := n.Src.Info
 
+	// The compiler converts []byte to string without copying where the
+	// string cannot outlive the expression: a read of a string-keyed map
+	// (m[string(b)]) and an operand of == or != against another string
+	// (string(b) == s). A map keyed by an interface, or a comparison with
+	// an interface, boxes the string and so copies it. Parents
+	// are visited before their children, so such conversions are marked
+	// borrowed here before the CallExpr case would report them; map
+	// writes are marked first, because storing a key does copy it.
+	borrowed := map[*ast.CallExpr]bool{}
+	written := map[*ast.IndexExpr]bool{}
+	markWrite := func(lhs ast.Expr) bool {
+		idx, ok := ast.Unparen(lhs).(*ast.IndexExpr)
+		if !ok {
+			return false
+		}
+		tv, ok := info.Types[idx.X]
+		if !ok {
+			return false
+		}
+		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+			return false
+		}
+		written[idx] = true
+		return true
+	}
+
 	ast.Inspect(n.Body(), func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
@@ -161,32 +187,44 @@ func (g *Graph) Effects(n *Node) []Effect {
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
-				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					if tv, ok := info.Types[idx.X]; ok {
-						if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-							add(Alloc, idx.Pos(), "map write")
-						}
-					}
+				if markWrite(lhs) {
+					add(Alloc, ast.Unparen(lhs).Pos(), "map write")
 				}
 			}
 		case *ast.IncDecStmt:
-			if idx, ok := ast.Unparen(x.X).(*ast.IndexExpr); ok {
-				if tv, ok := info.Types[idx.X]; ok {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						add(Alloc, idx.Pos(), "map write")
+			if markWrite(x.X) {
+				add(Alloc, ast.Unparen(x.X).Pos(), "map write")
+			}
+		case *ast.IndexExpr:
+			if tv, ok := info.Types[x.X]; ok && !written[x] {
+				if m, isMap := tv.Type.Underlying().(*types.Map); isMap && isString(m.Key()) {
+					if call := bytesToString(info, x.Index); call != nil {
+						borrowed[call] = true
 					}
 				}
 			}
 		case *ast.BinaryExpr:
-			if x.Op == token.ADD {
-				if tv, ok := info.Types[x]; ok && tv.Value == nil {
-					if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						add(Alloc, x.Pos(), "allocates (string concatenation)")
+			switch x.Op {
+			case token.ADD:
+				if tv, ok := info.Types[x]; ok && tv.Value == nil && isString(tv.Type) {
+					add(Alloc, x.Pos(), "allocates (string concatenation)")
+				}
+			case token.EQL, token.NEQ:
+				tx, okx := info.Types[x.X]
+				ty, oky := info.Types[x.Y]
+				if !okx || !oky || !isString(tx.Type) || !isString(ty.Type) {
+					break
+				}
+				for _, operand := range []ast.Expr{x.X, x.Y} {
+					if call := bytesToString(info, operand); call != nil {
+						borrowed[call] = true
 					}
 				}
 			}
 		case *ast.CallExpr:
-			g.callEffects(n, x, add)
+			if !borrowed[x] {
+				g.callEffects(n, x, add)
+			}
 		}
 		return true
 	})
@@ -278,20 +316,45 @@ func (g *Graph) callEffects(n *Node, call *ast.CallExpr, add func(EffectKind, to
 // convAllocates reports whether a conversion from -> to copies memory
 // (string <-> []byte / []rune).
 func convAllocates(from, to types.Type) bool {
-	isStr := func(t types.Type) bool {
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsString != 0
-	}
 	isByteOrRuneSlice := func(t types.Type) bool {
-		s, ok := t.Underlying().(*types.Slice)
-		if !ok {
-			return false
-		}
-		b, ok := s.Elem().Underlying().(*types.Basic)
-		return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
-			b.Kind() == types.Uint8 || b.Kind() == types.Int32)
+		return isSliceOf(t, types.Byte) || isSliceOf(t, types.Rune)
 	}
-	return (isStr(from) && isByteOrRuneSlice(to)) || (isByteOrRuneSlice(from) && isStr(to))
+	return (isString(from) && isByteOrRuneSlice(to)) || (isByteOrRuneSlice(from) && isString(to))
+}
+
+// bytesToString returns e as a []byte → string conversion, or nil when e
+// is anything else.
+func bytesToString(info *types.Info, e ast.Expr) *ast.CallExpr {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return nil
+	}
+	tv, ok := info.Types[call.Fun]
+	if !ok || !tv.IsType() || !isString(tv.Type) {
+		return nil
+	}
+	atv, ok := info.Types[call.Args[0]]
+	if !ok || !isSliceOf(atv.Type, types.Byte) {
+		return nil
+	}
+	return call
+}
+
+// isString reports whether t's underlying type is a string type.
+func isString(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}
+
+// isSliceOf reports whether t is a slice whose element's underlying type
+// is the basic kind (types.Byte and types.Rune alias Uint8 and Int32).
+func isSliceOf(t types.Type, kind types.BasicKind) bool {
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == kind
 }
 
 // Step is one hop of a call chain: the function, and the call site inside

@@ -27,6 +27,11 @@ func TestGoLeakFixture(t *testing.T)      { linttest.Run(t, lint.GoLeak, "goleak
 func TestValidFlowFixture(t *testing.T)   { linttest.Run(t, lint.ValidFlow, "validflow/a") }
 func TestBoundFlowFixture(t *testing.T)   { linttest.Run(t, lint.BoundFlow, "boundflow/service") }
 
+// TestHotPathConversionFixture pins which []byte → string conversions
+// the hotpath analyzer treats as allocations: borrowed map reads and
+// equality operands are clean, every copying conversion is reported.
+func TestHotPathConversionFixture(t *testing.T) { linttest.Run(t, lint.HotPath, "hotpath/conv") }
+
 // TestGoLeakStrictFixture runs the unresolvable-spawn fixture in both
 // modes: lenient stays silent (bias toward no noise), strict surfaces
 // every spawn whose termination path the graph cannot verify, and the

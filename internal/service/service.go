@@ -107,6 +107,10 @@ type Server struct {
 	acc          *accuracy.Tracker
 	adm          *admission.Controller // nil until SetAdmission; /v1/admit 503s
 
+	// templateKeys[i] is the accuracy stream key of the predictor's
+	// template i, built once here rather than on every observe.
+	templateKeys []string
+
 	// Re-selection (reselect.go): nil until EnableReselect. The controller
 	// serializes the shadow stable behind its own mutex; callers only need
 	// s.mu for the core predictor reads the pipeline makes.
@@ -133,6 +137,10 @@ func New(pred *core.Predictor, machineNodes int) *Server {
 		mWaitErrors:  reg.Counter("service.predictwait.errors"),
 	}
 	s.acc = s.newAccuracyTracker()
+	s.templateKeys = make([]string, len(pred.Templates()))
+	for i := range s.templateKeys {
+		s.templateKeys[i] = "template_" + strconv.Itoa(i)
+	}
 	return s
 }
 
@@ -471,7 +479,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		if det, ok := s.pred.PredictDetailedCtx(ctx, job, 0); ok {
 			err, actual := float64(det.Seconds), float64(job.RunTime)
 			s.acc.Record("all", err, actual)
-			s.acc.Record("template_"+strconv.Itoa(det.Template), err, actual)
+			s.acc.Record(s.templateKeys[det.Template], err, actual)
 		}
 		// The re-selection pipeline also scores pre-observe: the serving
 		// estimate and every shadow member's estimate are the ones a queued

@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 )
 
 // This file implements the Student-t distribution from scratch: log-gamma
@@ -126,23 +126,120 @@ func TCDF(t, nu float64) float64 {
 	return p
 }
 
-// tqKey keys the quantile cache.
-type tqKey struct{ p, nu float64 }
+// The quantile memo. Predictors ask for the same few probability levels
+// (one per confidence setting) at whole degrees of freedom bounded by the
+// category history caps, millions of times per simulation, and each fresh
+// evaluation costs a bisection over the incomplete beta function. Every
+// level in (0.5, 1) gets one dense table indexed by degrees of freedom.
+// The table's chunks are allocated lazily and their entries are filled
+// one by one on first use. A read is three atomic loads and no
+// allocation. Two goroutines missing the same entry both compute it and
+// store identical bits, which is benign: the quantile is a pure function
+// of (p, nu). Levels below 0.5 reach the table through the symmetry
+// Q(p) = -Q(1-p); non-integer or out-of-range degrees of freedom, and
+// levels beyond the first tqMaxLevels, are computed directly.
+const (
+	tqChunkBits = 8
+	tqChunk     = 1 << tqChunkBits // entries per chunk
+	tqMaxDF     = 1 << 17          // the table covers 1 <= nu < tqMaxDF
+	tqMaxLevels = 16               // levels that get a table
+)
 
-// tqCache memoizes TQuantile: predictors evaluate the same (level, df)
-// pairs millions of times during a simulation, and each fresh evaluation
-// costs a bisection over the incomplete beta function.
-var tqCache sync.Map
+// tqTable is the memo of one probability level. An entry holds the
+// quantile's IEEE-754 bits; zero marks an entry not yet computed, since
+// every quantile above the median is strictly positive.
+type tqTable struct {
+	p      float64
+	chunks [tqMaxDF / tqChunk]atomic.Pointer[[tqChunk]atomic.Uint64]
+}
+
+// tqTables is the copy-on-write list of level tables; it only grows, and
+// only up to tqMaxLevels entries.
+var tqTables atomic.Pointer[[]*tqTable]
 
 // TQuantile returns the p-quantile of the Student-t distribution with nu
 // degrees of freedom: the t such that TCDF(t, nu) = p, for 0 < p < 1.
-// Results for p outside (0,1) are ±Inf. Results are memoized.
+// Results for p outside (0,1) are ±Inf. Results for whole nu are memoized.
+//
+// hotpath: no-lock no-alloc no-clock
 func TQuantile(p, nu float64) float64 {
-	if v, ok := tqCache.Load(tqKey{p, nu}); ok { //lint:allow hotpath boxing the cache key is the price of sync.Map memoization; the steady state is one lock-free load
-		return v.(float64)
+	if nu >= 1 && nu < tqMaxDF {
+		if k := int(nu); float64(k) == nu { //lint:allow floatcmp exact integrality test: only whole degrees of freedom index the table
+			if t := tqTableOf(p); t != nil {
+				return t.quantile(k)
+			}
+		}
 	}
-	v := tQuantileSlow(p, nu)
-	tqCache.Store(tqKey{p, nu}, v) //lint:allow hotpath warm-up-only store; each (level, df) pair is computed once
+	return tQuantileSlow(p, nu)
+}
+
+// tqTableOf returns the memo table of level p, registering it on first
+// use, or nil when p is not memoized (outside (0.5, 1), or past the
+// level cap).
+func tqTableOf(p float64) *tqTable {
+	if !(p > 0.5 && p < 1) {
+		return nil
+	}
+	if ts := tqTables.Load(); ts != nil {
+		for _, t := range *ts {
+			if math.Float64bits(t.p) == math.Float64bits(p) {
+				return t
+			}
+		}
+	}
+	return addTQTable(p)
+}
+
+// addTQTable registers a table for level p (copy-on-write, retried on a
+// lost race) and returns it, or nil once tqMaxLevels levels exist.
+//
+// hotpath: exempt warm-up only: allocates once per confidence level per process, and nothing past the level cap, where a bisection follows anyway
+func addTQTable(p float64) *tqTable {
+	for {
+		cur := tqTables.Load()
+		var ts []*tqTable
+		if cur != nil {
+			ts = *cur
+		}
+		for _, t := range ts {
+			if math.Float64bits(t.p) == math.Float64bits(p) {
+				return t
+			}
+		}
+		if len(ts) >= tqMaxLevels {
+			return nil
+		}
+		next := append(ts[:len(ts):len(ts)], &tqTable{p: p})
+		if tqTables.CompareAndSwap(cur, &next) {
+			return next[len(ts)]
+		}
+	}
+}
+
+// quantile returns the memoized quantile at nu = k degrees of freedom.
+func (t *tqTable) quantile(k int) float64 {
+	if c := t.chunks[k>>tqChunkBits].Load(); c != nil {
+		if b := c[k&(tqChunk-1)].Load(); b != 0 {
+			return math.Float64frombits(b)
+		}
+	}
+	return t.fill(k)
+}
+
+// fill computes and publishes entry k, allocating its chunk if needed.
+//
+// hotpath: exempt warm-up only: each (level, df) entry is computed once per process
+func (t *tqTable) fill(k int) float64 {
+	slot := &t.chunks[k>>tqChunkBits]
+	c := slot.Load()
+	if c == nil {
+		c = new([tqChunk]atomic.Uint64)
+		if !slot.CompareAndSwap(nil, c) {
+			c = slot.Load()
+		}
+	}
+	v := tQuantileSlow(t.p, float64(k))
+	c[k&(tqChunk-1)].Store(math.Float64bits(v))
 	return v
 }
 

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -166,5 +168,70 @@ func TestTQuantileApproachesNormal(t *testing.T) {
 		if !almostEq(tq, nq, 1e-4) {
 			t.Errorf("p=%v: t quantile %v, normal %v", p, tq, nq)
 		}
+	}
+}
+
+// TestTQuantileMemoMatchesBisection checks the dense memo against the
+// bisection it caches, bit for bit: whole degrees of freedom across the
+// table (first and repeated reads, chunk edges, the last entry), levels on
+// both sides of the median, and the inputs computed directly
+// (non-integer, below one, past the table).
+func TestTQuantileMemoMatchesBisection(t *testing.T) {
+	dfs := []float64{1, 2, 3, 29, 255, 256, 257, 4095, 65535, tqMaxDF - 1, // memoized
+		0.5, 2.5, 10.25, tqMaxDF, tqMaxDF + 0.5, 1e6} // computed directly
+	for _, p := range []float64{0.95, 0.975, 0.6, 0.3, 0.05} {
+		for _, nu := range dfs {
+			want := tQuantileSlow(p, nu)
+			for rep := 0; rep < 2; rep++ {
+				if got := TQuantile(p, nu); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("TQuantile(%v, %v) read %d = %v, bisection %v", p, nu, rep, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTQuantileConcurrentFirstTouch races goroutines through the first
+// fill of a table's chunks and entries (run it under -race). Every reader
+// must see the bisection's value, whichever goroutine published it.
+func TestTQuantileConcurrentFirstTouch(t *testing.T) {
+	const p = 0.9137
+	tab := &tqTable{p: p}
+	want := make([]uint64, 600)
+	for k := 1; k < len(want); k++ {
+		want[k] = math.Float64bits(tQuantileSlow(p, float64(k)))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i < len(want); i++ {
+				k := 1 + (i*(g+1))%(len(want)-1) // each goroutine walks its own order
+				if got := math.Float64bits(tab.quantile(k)); got != want[k] {
+					errs <- fmt.Sprintf("goroutine %d: quantile(%d) bits %x, want %x", g, k, got, want[k])
+					return
+				}
+				if got := math.Float64bits(TQuantile(p, float64(k))); got != want[k] {
+					errs <- fmt.Sprintf("goroutine %d: TQuantile(%v, %d) bits %x, want %x", g, p, k, got, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestTQuantileMemoAllocationFree pins that a warmed memo read allocates
+// nothing.
+func TestTQuantileMemoAllocationFree(t *testing.T) {
+	TQuantile(0.95, 17) // first touch fills the entry
+	if n := testing.AllocsPerRun(100, func() { TQuantile(0.95, 17) }); n != 0 {
+		t.Errorf("warmed TQuantile: %v allocs per run, want 0", n)
 	}
 }

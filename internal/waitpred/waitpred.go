@@ -93,14 +93,18 @@ func PredictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 		decision = pred
 	}
 
-	// Clone the state; assumed total run times are recorded per clone.
-	assumed := make(map[*workload.Job]int64, len(queue)+len(running))
-	var vq []*workload.Job
+	// Clone the state into one backing array, queued jobs first. The
+	// assumed total run time of the queued clone vq[i] is assumed[i]; the
+	// two slices shrink together as jobs leave the virtual queue.
+	clones := make([]workload.Job, len(queue)+len(running))
+	vq := make([]*workload.Job, len(queue))
+	assumed := make([]int64, len(queue))
 	var vtarget *workload.Job
-	for _, j := range queue {
-		c := j.Clone()
-		assumed[c] = predict.Estimate(pred, j, 0, defaultRT)
-		vq = append(vq, c)
+	for i, j := range queue {
+		c := &clones[i]
+		*c = *j.Clone()
+		assumed[i] = predict.Estimate(pred, j, 0, defaultRT)
+		vq[i] = c
 		if j == target {
 			vtarget = c
 		}
@@ -108,10 +112,11 @@ func PredictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 	if vtarget == nil {
 		return 0, fmt.Errorf("waitpred: target job %d not in queue", target.ID)
 	}
-	var vr endHeap
+	vr := make(endHeap, 0, len(running)+len(queue))
 	free := totalNodes
-	for _, r := range running {
-		c := r.Clone()
+	for i, r := range running {
+		c := &clones[len(queue)+i]
+		*c = *r.Clone()
 		c.StartTime = r.StartTime
 		age := now - r.StartTime
 		total := predict.Estimate(pred, r, age, defaultRT)
@@ -119,7 +124,6 @@ func PredictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 		if c.EndTime <= now {
 			c.EndTime = now + 1
 		}
-		assumed[c] = c.EndTime - c.StartTime
 		heap.Push(&vr, c)
 		free -= c.Nodes
 	}
@@ -133,13 +137,18 @@ func PredictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 		return predict.Estimate(decision, j, age, defaultRT)
 	}
 
-	removeFromQueue := func(j *workload.Job) {
+	// take removes j from the virtual queue and returns its assumed run
+	// time.
+	take := func(j *workload.Job) int64 {
 		for i, q := range vq {
 			if q == j {
+				d := assumed[i]
 				vq = append(vq[:i], vq[i+1:]...)
-				return
+				assumed = append(assumed[:i], assumed[i+1:]...)
+				return d
 			}
 		}
+		return 0
 	}
 
 	t := now
@@ -162,8 +171,7 @@ func PredictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 				}
 				free -= j.Nodes
 				j.StartTime = t
-				j.EndTime = t + assumed[j]
-				removeFromQueue(j)
+				j.EndTime = t + take(j)
 				heap.Push(&vr, j)
 			}
 		}

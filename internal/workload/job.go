@@ -99,7 +99,7 @@ func (m CharMask) Chars() []Char {
 	var out []Char
 	for c := Char(0); c < NumChars; c++ {
 		if m.Has(c) {
-			out = append(out, c) //lint:allow hotpath at most NumChars appends per key render; part of the committed allocs/op floor
+			out = append(out, c)
 		}
 	}
 	return out
