@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/ga"
-	"repro/internal/histstore"
 	"repro/internal/obs/trace"
 	"repro/internal/predict"
 	"repro/internal/sched"
@@ -217,33 +216,14 @@ func replayError(pw ga.PredWorkload, p predict.Predictor) float64 {
 
 // --- Microbenchmarks of the hot paths ---
 
-// warmedStorePredictor trains a store-backed predictor on the full ANL/20
-// study workload: the concurrency-safe configuration whose predict path is
-// lock-free snapshot loads.
-func warmedStorePredictor(b *testing.B) (*core.Predictor, *workload.Job) {
-	b.Helper()
-	w, err := workload.Study("ANL", 20, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := core.NewDefault(w, core.WithStore(histstore.New()))
-	for _, j := range w.Jobs {
-		p.Observe(j)
-	}
-	if err := p.StoreErr(); err != nil {
-		b.Fatal(err)
-	}
-	return p, w.Jobs[len(w.Jobs)-1]
-}
-
-// BenchmarkPredictParallel measures store-backed prediction throughput as
-// reader goroutines scale — run with -cpu 1,2,4,8 for the scaling series.
+// BenchmarkPredictParallel measures prediction throughput as reader
+// goroutines scale — run with -cpu 1,2,4,8 for the scaling series.
 // The predict path performs zero mutex acquisitions (category lookups are
 // atomic snapshot loads and the estimate consumes finalized moments), so
 // per-op time should stay near-flat as readers are added; a slope here
 // means a serialization point crept back into the hot path.
 func BenchmarkPredictParallel(b *testing.B) {
-	p, probe := warmedStorePredictor(b)
+	p, probe := warmedPredictor(b)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -257,7 +237,7 @@ func BenchmarkPredictParallel(b *testing.B) {
 // BenchmarkPredictBatch measures the amortized per-job cost of the batch
 // prediction API scoring 100 jobs per call against a warmed store.
 func BenchmarkPredictBatch(b *testing.B) {
-	p, probe := warmedStorePredictor(b)
+	p, probe := warmedPredictor(b)
 	items := make([]core.BatchItem, 100)
 	for i := range items {
 		items[i] = core.BatchItem{Job: probe}
@@ -271,8 +251,9 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
-// warmedPredictor trains a default predictor on the full ANL/20 study
-// workload and returns it with a probe job, for hot-path benchmarks.
+// warmedPredictor trains a default (memory-only store) predictor on the
+// full ANL/20 study workload and returns it with a probe job, for hot-path
+// benchmarks.
 func warmedPredictor(b *testing.B) (*core.Predictor, *workload.Job) {
 	b.Helper()
 	w, err := workload.Study("ANL", 20, 7)
@@ -282,6 +263,9 @@ func warmedPredictor(b *testing.B) (*core.Predictor, *workload.Job) {
 	p := core.NewDefault(w)
 	for _, j := range w.Jobs {
 		p.Observe(j)
+	}
+	if err := p.StoreErr(); err != nil {
+		b.Fatal(err)
 	}
 	return p, w.Jobs[len(w.Jobs)-1]
 }

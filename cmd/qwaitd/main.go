@@ -31,11 +31,13 @@
 // Job objects carry the Table-2 characteristics (user, executable, queue,
 // ...), nodes, and maxRunTime; see internal/service for the full schema.
 //
-// With -data, the category history lives in a durable internal/histstore
-// store under that directory: every observation is journaled to a
-// write-ahead log, snapshots are taken periodically (-snapshot-interval),
-// on POST /v1/checkpoint, and on graceful shutdown, and a restart — even
-// after a hard kill — recovers the exact history from snapshot + WAL.
+// The category history lives in an internal/histstore store. Without
+// -data it is memory-only and lost on exit (POST /v1/checkpoint fails).
+// With -data the store is durable under that directory: every observation
+// is journaled to a write-ahead log, snapshots are taken periodically
+// (-snapshot-interval), on POST /v1/checkpoint, and on graceful shutdown,
+// and a restart — even after a hard kill — recovers the exact history
+// from snapshot + WAL.
 //
 // With -trace-sample and/or -trace-slow, requests are traced: each sampled
 // (or slower-than-threshold) request keeps a span tree decomposing the
@@ -68,12 +70,8 @@
 // under-prediction is worth) used by every accuracy stream, and
 // -reselect-window the scoring window.
 //
-// The -state flag (single-file checkpoints, saved only on graceful
-// shutdown) is deprecated. With both -state and -data, the old state file
-// is imported once into an empty store and the store takes over; with
-// -state alone the legacy behavior remains, with a warning. With
-// -metrics-interval, a metrics snapshot is logged (logfmt, stderr) at that
-// period.
+// With -metrics-interval, a metrics snapshot is logged (logfmt, stderr)
+// at that period.
 package main
 
 import (
@@ -105,7 +103,6 @@ type app struct {
 	srv              *service.Server
 	store            *histstore.Store // nil without -data
 	addr             string
-	statePath        string
 	pprofOn          bool
 	metricsInterval  time.Duration
 	snapshotInterval time.Duration
@@ -120,9 +117,6 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, a.logLevel)
 	a.srv.SetLogger(logger)
-	if a.statePath != "" {
-		logger.Warn("flag -state is deprecated; use -data for durable history storage")
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -149,12 +143,6 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Info("history store snapshotted", "dir", a.store.Dir())
-	} else if a.statePath != "" {
-		if err := a.srv.Checkpoint(); err != nil {
-			logger.Error("checkpoint on shutdown failed", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("state saved", "path", a.statePath)
 	}
 }
 
@@ -248,7 +236,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 	templates := fs.String("templates", "", "JSON template set (from gasearch -o); default: a generic set")
 	warm := fs.String("warm", "", "SWF trace to pre-train the predictor with (skipped when the history store already has data)")
 	dataDir := fs.String("data", "", "history store directory: WAL-journaled observations, snapshots on checkpoint/shutdown, crash recovery at boot")
-	state := fs.String("state", "", "DEPRECATED single-file checkpoint; with -data it is imported once into an empty store")
 	snapshotInterval := fs.Duration("snapshot-interval", 5*time.Minute, "period between automatic history-store snapshots (0 disables; requires -data)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	metricsInterval := fs.Duration("metrics-interval", 0, "log a metrics snapshot at this period (0 disables)")
@@ -308,31 +295,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 			st.Categories(), st.Points(), *dataDir)
 	}
 
-	if *state != "" {
-		fmt.Fprintln(stdout, "warning: -state is deprecated; use -data for durable history storage")
-	}
-	if *state != "" && st != nil {
-		// One-time migration: import the legacy checkpoint into an empty
-		// store, snapshot immediately so the store owns the history, and
-		// never touch the old file again.
-		switch {
-		case st.Categories() > 0:
-			fmt.Fprintf(stdout, "ignoring -state %s: history store already has data\n", *state)
-		default:
-			restored, err := service.LoadStateFile(pred, *state)
-			if err != nil {
-				return nil, fmt.Errorf("migrating legacy state %s: %w", *state, err)
-			}
-			if restored {
-				if err := st.Snapshot(); err != nil {
-					return nil, fmt.Errorf("snapshotting migrated state: %w", err)
-				}
-				fmt.Fprintf(stdout, "migrated legacy state %s into %s (%d categories)\n",
-					*state, *dataDir, pred.Categories())
-			}
-		}
-	}
-
 	if *warm != "" {
 		if st != nil && st.Categories() > 0 {
 			fmt.Fprintf(stdout, "skipping -warm %s: history store already has data\n", *warm)
@@ -363,15 +325,6 @@ func build(args []string, stdout io.Writer) (*app, error) {
 	srv := service.New(pred, *nodes)
 	if st != nil {
 		srv.SetStore(st)
-	} else if *state != "" {
-		srv.SetStatePath(*state)
-		restored, err := service.LoadStateFile(pred, *state)
-		if err != nil {
-			return nil, fmt.Errorf("restoring %s: %w", *state, err)
-		}
-		if restored {
-			fmt.Fprintf(stdout, "restored %d categories from %s\n", pred.Categories(), *state)
-		}
 	}
 	if *pprofOn {
 		srv.EnablePprof()
@@ -440,7 +393,7 @@ func build(args []string, stdout io.Writer) (*app, error) {
 	}
 	fmt.Fprintf(stdout, "configured: %d templates, %d-node machine\n", len(ts), *nodes)
 	return &app{
-		srv: srv, store: st, addr: *addr, statePath: *state,
+		srv: srv, store: st, addr: *addr,
 		pprofOn: *pprofOn, metricsInterval: *metricsInterval,
 		snapshotInterval: *snapshotInterval,
 		logLevel:         obs.ParseLevel(*logLevel),

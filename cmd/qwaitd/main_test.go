@@ -44,7 +44,7 @@ func TestBuildDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.srv == nil || a.addr != ":9999" || a.statePath != "" {
+	if a.srv == nil || a.addr != ":9999" || a.store != nil {
 		t.Fatalf("build = %+v", a)
 	}
 	if a.pprofOn || a.metricsInterval != 0 || a.logLevel != obs.LevelInfo {
@@ -130,25 +130,24 @@ func TestBuildReselectFlags(t *testing.T) {
 	}
 }
 
+// TestBuildWithWarmAndState: a -warm-trained -data store checkpoints over
+// HTTP, and a daemon rebuilt on the same directory serves the history.
 func TestBuildWithWarmAndState(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "warm.swf")
-	state := filepath.Join(dir, "state.jsonl")
+	storeDir := filepath.Join(dir, "hist")
 	writeTestSWF(t, trace)
 
 	var sb strings.Builder
-	a, err := build([]string{"-warm", trace, "-state", state}, &sb)
+	a, err := build([]string{"-warm", trace, "-data", storeDir}, &sb)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a.statePath != state {
-		t.Fatalf("state path = %q", a.statePath)
 	}
 	if !strings.Contains(sb.String(), "warmed with") {
 		t.Fatalf("output:\n%s", sb.String())
 	}
 
-	// Serve, checkpoint, rebuild from state: predictions survive.
+	// Serve, checkpoint, rebuild from the store: predictions survive.
 	ts := httptest.NewServer(a.srv.Handler())
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/checkpoint", "application/json", bytes.NewReader(nil))
@@ -159,13 +158,21 @@ func TestBuildWithWarmAndState(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkpoint status %d", resp.StatusCode)
 	}
+	if err := a.store.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	sb.Reset()
-	a2, err := build([]string{"-state", state}, &sb)
+	a2, err := build([]string{"-data", storeDir}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "restored") {
+	defer func() {
+		if err := a2.store.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if !strings.Contains(sb.String(), "recovered") {
 		t.Fatalf("restore output:\n%s", sb.String())
 	}
 	ts2 := httptest.NewServer(a2.srv.Handler())
@@ -329,63 +336,6 @@ func TestBuildWithDataRecovers(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "recovered") {
 		t.Fatalf("output:\n%s", sb.String())
-	}
-	if err := a2.store.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBuildStateMigration covers the -state deprecation shim: a legacy
-// checkpoint is imported once into an empty -data store, the store
-// snapshots immediately, and later boots ignore the old file.
-func TestBuildStateMigration(t *testing.T) {
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "warm.swf")
-	state := filepath.Join(dir, "state.jsonl")
-	storeDir := filepath.Join(dir, "hist")
-	writeTestSWF(t, trace)
-
-	// Produce a legacy checkpoint with the old single-file flow.
-	var sb strings.Builder
-	legacy, err := build([]string{"-warm", trace, "-state", state}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "-state is deprecated") {
-		t.Fatalf("no deprecation warning:\n%s", sb.String())
-	}
-	if err := legacy.srv.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Boot with both flags: the legacy file migrates into the store.
-	sb.Reset()
-	a, err := build([]string{"-state", state, "-data", storeDir}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "migrated legacy state") {
-		t.Fatalf("output:\n%s", sb.String())
-	}
-	wantCats := a.store.Categories()
-	if wantCats == 0 {
-		t.Fatal("migration imported nothing")
-	}
-	if err := a.store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second boot finds the store populated and ignores -state.
-	sb.Reset()
-	a2, err := build([]string{"-state", state, "-data", storeDir}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "ignoring -state") {
-		t.Fatalf("output:\n%s", sb.String())
-	}
-	if a2.store.Categories() != wantCats {
-		t.Fatalf("second boot: %d categories, want %d", a2.store.Categories(), wantCats)
 	}
 	if err := a2.store.Close(); err != nil {
 		t.Fatal(err)

@@ -9,14 +9,10 @@ import (
 )
 
 // Categories are histstore.Category values: a bounded ring of points with
-// incremental Welford moments, shared between the predictor's two modes.
-// In batch mode the predictor owns a private map of them; in store-backed
-// mode they live inside a sharded (optionally durable) histstore.Store and
-// this file's estimate logic runs on immutable category snapshots obtained
-// from lock-free atomic pointer loads.
-// Using the identical category representation and arithmetic in both modes
-// is what makes store-backed predictions bit-for-bit equal to the batch
-// predictor's — the determinism tests rely on it.
+// incremental Welford moments. They live inside a sharded (optionally
+// durable) histstore.Store, and this file's estimate logic runs on
+// immutable category snapshots obtained from lock-free atomic pointer
+// loads.
 
 // pointOf converts a completed job to its category contribution.
 func pointOf(j *workload.Job) histstore.Point {

@@ -10,41 +10,38 @@ import (
 	"repro/internal/workload"
 )
 
-// warmedPair returns a batch-mode and a store-backed predictor trained on
-// the same study workload, plus probe jobs from it.
-func warmedPair(t *testing.T) (batch, stored *Predictor, probes []*workload.Job) {
+// warmed returns a predictor trained on a study workload, plus probe jobs
+// from it.
+func warmed(t *testing.T) (p *Predictor, probes []*workload.Job) {
 	t.Helper()
 	w, err := workload.Study("ANL", 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := DefaultTemplates(w.Chars, w.HasMaxRT)
-	batch = New(ts)
-	stored = New(ts, WithStore(histstore.New()))
+	p = New(DefaultTemplates(w.Chars, w.HasMaxRT))
 	for _, j := range w.Jobs {
-		batch.Observe(j)
-		stored.Observe(j)
+		p.Observe(j)
 	}
-	if err := stored.StoreErr(); err != nil {
+	if err := p.StoreErr(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(w.Jobs); i += len(w.Jobs) / 16 {
 		probes = append(probes, w.Jobs[i])
 	}
-	return batch, stored, probes
+	return p, probes
 }
 
 // TestPredictAllocationFree pins the hot path's allocation contract in
-// go test, not only in the bench gate: Predict allocates nothing in either
-// storage mode, at submit and for running jobs (the age-conditioned
-// estimate), and neither does PredictDetailed, whose winning key is the
-// string the category is stored under.
+// go test, not only in the bench gate: Predict allocates nothing, at
+// submit and for running jobs (the age-conditioned estimate), and neither
+// does PredictDetailed, whose winning key is the string the category is
+// stored under.
 func TestPredictAllocationFree(t *testing.T) {
-	batch, stored, probes := warmedPair(t)
+	p, probes := warmed(t)
 	hits := 0
 	for _, j := range probes {
 		for _, age := range []int64{0, 60, 600} {
-			if _, ok := stored.PredictDetailed(j, age); !ok {
+			if _, ok := p.PredictDetailed(j, age); !ok {
 				continue
 			}
 			hits++
@@ -52,10 +49,8 @@ func TestPredictAllocationFree(t *testing.T) {
 				name string
 				f    func()
 			}{
-				{"batch Predict", func() { batch.Predict(j, age) }},
-				{"store Predict", func() { stored.Predict(j, age) }},
-				{"batch PredictDetailed", func() { batch.PredictDetailed(j, age) }},
-				{"store PredictDetailed", func() { stored.PredictDetailed(j, age) }},
+				{"Predict", func() { p.Predict(j, age) }},
+				{"PredictDetailed", func() { p.PredictDetailed(j, age) }},
 			} {
 				if n := testing.AllocsPerRun(20, c.f); n != 0 {
 					t.Errorf("%s(job %d, age %d): %v allocs per run, want 0", c.name, j.ID, age, n)
@@ -69,20 +64,20 @@ func TestPredictAllocationFree(t *testing.T) {
 }
 
 // TestPredictDetailedKeyIsStored checks that the reported winning key is
-// the category's key, identical between the modes and to the rendering.
+// the category's key: the template's rendering for the job, and the very
+// string the store holds the category under.
 func TestPredictDetailedKeyIsStored(t *testing.T) {
-	batch, stored, probes := warmedPair(t)
+	p, probes := warmed(t)
 	for _, j := range probes {
-		a, aok := batch.PredictDetailed(j, 0)
-		b, bok := stored.PredictDetailed(j, 0)
-		if aok != bok || a != b {
-			t.Fatalf("job %d: batch %+v/%v, store %+v/%v", j.ID, a, aok, b, bok)
-		}
-		if !aok {
+		a, ok := p.PredictDetailed(j, 0)
+		if !ok {
 			continue
 		}
-		if want := key(batch.templates[a.Template], a.Template, j); a.Category != want {
+		if want := key(p.templates[a.Template], a.Template, j); a.Category != want {
 			t.Errorf("job %d: category %q, want %q", j.ID, a.Category, want)
+		}
+		if _, stored, _ := p.Store().Get([]byte(a.Category)); stored != a.Category {
+			t.Errorf("job %d: store holds %q under key %q", j.ID, a.Category, stored)
 		}
 	}
 }

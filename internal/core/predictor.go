@@ -29,21 +29,18 @@ type Prediction struct {
 // database per template and predicts via the smallest-confidence-interval
 // category estimate (§2.1, steps 1–3).
 //
-// The predictor has two storage modes. In batch mode (the default) it owns
-// a private category map; this is the single-threaded configuration the
-// simulations and experiments use, and it is not safe for concurrent use.
-// With WithStore the category database lives in a sharded
-// histstore.Store — Observe and Predict become concurrency-safe (writes
-// serialize per shard; predictions are lock-free snapshot loads),
-// completions stream in as O(templates) incremental updates, and, when the
-// store was opened durably, every observation is journaled for crash
-// recovery. Both modes share the same category representation and estimate
-// arithmetic, so their predictions are bit-for-bit identical.
+// The category database always lives in a sharded histstore.Store: a
+// memory-only one by default, or the store passed with WithStore (durable
+// when it was opened with histstore.Open, in which case every observation
+// is journaled for crash recovery). Observe and Predict are therefore
+// safe for concurrent use — writes serialize per shard, predictions are
+// lock-free snapshot loads — and completions stream in as O(templates)
+// incremental updates. The offline experiments and the qwaitd daemon run
+// the same code path.
 type Predictor struct {
 	templates  []Template
 	level      float64
-	cats       map[string]catRef // batch mode; nil when store-backed
-	store      *histstore.Store  // store-backed mode; nil in batch mode
+	store      *histstore.Store
 	name       string
 	firstMatch bool
 
@@ -90,17 +87,14 @@ func WithFirstMatch() Option {
 	return func(p *Predictor) { p.firstMatch = true }
 }
 
-// WithStore backs the predictor's category database with a sharded
-// histstore.Store instead of a private map: Observe writes through the
-// store (journaled when the store is durable) and predictions read
-// immutable category snapshots through lock-free atomic pointer loads,
-// making the predictor safe for concurrent use with zero mutex
-// acquisitions on the predict path.
+// WithStore keeps the predictor's category database in st instead of a
+// fresh memory-only store, so a caller can share it, snapshot it, or open
+// it durably (Observe then journals through the store's WAL). A nil st
+// keeps the default.
 func WithStore(st *histstore.Store) Option {
 	return func(p *Predictor) {
 		if st != nil {
 			p.store = st
-			p.cats = nil
 		}
 	}
 }
@@ -114,13 +108,14 @@ func WithStoreErrorHandler(f func(error)) Option {
 	return func(p *Predictor) { p.onStoreErr = f }
 }
 
-// New creates a Predictor with the given template set. An empty template
-// set is legal but never predicts.
+// New creates a Predictor with the given template set, backed by a
+// memory-only histstore.Store unless WithStore supplies one. An empty
+// template set is legal but never predicts.
 func New(templates []Template, opts ...Option) *Predictor {
 	p := &Predictor{
 		templates: append([]Template(nil), templates...),
 		level:     DefaultConfidence,
-		cats:      make(map[string]catRef),
+		store:     histstore.New(),
 		name:      "smith",
 	}
 	for _, o := range opts {
@@ -142,13 +137,15 @@ func (p *Predictor) Templates() []Template {
 	return append([]Template(nil), p.templates...)
 }
 
-// Store returns the backing store, or nil in batch mode.
+// Store returns the backing store.
 func (p *Predictor) Store() *histstore.Store { return p.store }
 
 // StoreErr returns the first store insert failure seen by Observe (nil
-// when none has occurred, and always nil in batch mode). It is recorded
-// whether or not a WithStoreErrorHandler is installed, so callers that
-// stream many observations (e.g. trace warming) can check once at the end.
+// when none has occurred): a write-ahead-log error, or a completion the
+// store refuses (see histstore.Point.Validate), which leaves the history
+// unchanged. It is recorded whether or not a WithStoreErrorHandler is
+// installed, so callers that stream many observations (e.g. trace
+// warming) can check once at the end.
 func (p *Predictor) StoreErr() error {
 	if v, ok := p.storeErr.Load().(storedErr); ok {
 		return v.err
@@ -162,26 +159,12 @@ func (p *Predictor) recordStoreErr(err error) {
 }
 
 // Categories returns the number of categories currently stored.
-func (p *Predictor) Categories() int {
-	if p.store != nil {
-		return p.store.Categories()
-	}
-	return len(p.cats)
-}
+func (p *Predictor) Categories() int { return p.store.Categories() }
 
 // HistorySize returns the total number of data points stored across all
 // categories — the predictor's working-set size, reported as a gauge by
-// the observability layer. O(1) store-backed, O(categories) in batch mode.
-func (p *Predictor) HistorySize() int {
-	if p.store != nil {
-		return p.store.Points()
-	}
-	var n int
-	for _, r := range p.cats {
-		n += r.c.Size()
-	}
-	return n
-}
+// the observability layer.
+func (p *Predictor) HistorySize() int { return p.store.Points() }
 
 // Predict implements predict.Predictor: apply every template to the job,
 // compute an estimate with a confidence interval from each category that
@@ -198,8 +181,7 @@ func (p *Predictor) Predict(j *workload.Job, age int64) (int64, bool) {
 }
 
 // PredictDetailed is Predict with full diagnostic detail. The winning
-// category key is the string the category is stored under (the store's
-// category handle in store-backed mode, the map entry in batch mode), so
+// category key is the string the store's category handle carries, so
 // reporting it copies no bytes.
 //
 // The hotpath contract below is the static half of the benchmark
@@ -278,7 +260,7 @@ func (p *Predictor) PredictDetailedBatchCtx(ctx context.Context, items []BatchIt
 		bsp.SetAttrInt("jobs", int64(len(items)))
 	}
 	var cache map[string]catRef
-	if p.store != nil && len(items) > 1 {
+	if len(items) > 1 {
 		cache = make(map[string]catRef, len(p.templates)) //lint:allow hotpath one snapshot cache per batch buys at-most-once store lookups
 	}
 	for i, it := range items {
@@ -324,10 +306,10 @@ func (p *Predictor) lookup(ctx context.Context, tsp *trace.Span, key []byte) cat
 // one batch; single predictions pass nil and pay no cache overhead.
 //
 // Each template's key is rendered into one stack buffer and indexes the
-// category tables directly (m[string(b)] does not allocate). Store-backed,
-// the category lookup is a lock-free snapshot load (store.Get) and the
-// estimate consumes the category's finalized moments or streams over its
-// points — the predict hot path acquires no mutexes and builds no strings.
+// category tables directly (m[string(b)] does not allocate). The category
+// lookup is a lock-free snapshot load (store.Get) and the estimate
+// consumes the category's finalized moments or streams over its points —
+// the predict hot path acquires no mutexes and builds no strings.
 func (p *Predictor) predictDetailed(ctx context.Context, sp *trace.Span, j *workload.Job, age int64, cache map[string]catRef) (Prediction, bool) {
 	var kb [keyBufSize]byte
 	best := Prediction{Interval: math.Inf(1), Template: -1}
@@ -344,16 +326,13 @@ func (p *Predictor) predictDetailed(ctx context.Context, sp *trace.Span, j *work
 		)
 		tsp := sp.StartChild("template_match")
 		var r catRef
-		switch {
-		case p.store == nil:
-			r = p.cats[string(key)]
-		case cache != nil:
+		if cache != nil {
 			var hit bool
 			if r, hit = cache[string(key)]; !hit {
 				r = p.lookup(ctx, tsp, key)
 				cache[string(key)] = r //lint:allow hotpath batch-local snapshot cache, bounded by the template count
 			}
-		default:
+		} else {
 			r = p.lookup(ctx, tsp, key)
 		}
 		if r.c != nil {
@@ -362,7 +341,7 @@ func (p *Predictor) predictDetailed(ctx context.Context, sp *trace.Span, j *work
 			n = r.c.Size()
 			esp.End()
 		}
-		endTemplateSpan(tsp, i, key, ok)
+		endTemplateSpan(tsp, i, key, r.key, ok)
 		if !ok {
 			continue
 		}
@@ -408,12 +387,15 @@ func (p *Predictor) predictDetailed(ctx context.Context, sp *trace.Span, j *work
 // the nil span of an untraced prediction).
 //
 // hotpath: exempt span plumbing runs only when a trace is sampled; the key string is built for the span attribute alone
-func endTemplateSpan(tsp *trace.Span, i int, key []byte, ok bool) {
+func endTemplateSpan(tsp *trace.Span, i int, key []byte, stored string, ok bool) {
 	if tsp == nil {
 		return
 	}
+	if stored == "" {
+		stored = string(key)
+	}
 	tsp.SetAttrInt("template", int64(i))
-	tsp.SetAttr("category", string(key))
+	tsp.SetAttr("category", stored)
 	if !ok {
 		tsp.SetAttr("hit", "false")
 	}
@@ -422,9 +404,11 @@ func endTemplateSpan(tsp *trace.Span, i int, key []byte, ok bool) {
 
 // Observe implements predict.Predictor: insert the completed job into the
 // category of every template, creating categories as needed (paper step 3).
-// Store-backed, each insert is an O(1) streaming update (journaled when
-// the store is durable); insert failures go to the configured error
-// handler because this interface method cannot return them.
+// Each insert is an O(1) streaming update (journaled when the store is
+// durable); insert failures — including a job the store refuses, such as
+// one without a positive run time — are recorded for StoreErr and go to
+// the configured error handler, because this interface method cannot
+// return them.
 func (p *Predictor) Observe(j *workload.Job) {
 	p.observe(context.Background(), nil, j)
 }
@@ -443,29 +427,19 @@ func (p *Predictor) observe(ctx context.Context, sp *trace.Span, j *workload.Job
 	var kb [keyBufSize]byte
 	pt := pointOf(j)
 	for i, t := range p.templates {
-		b := t.AppendKey(kb[:0], i, j)
-		if p.store != nil {
-			key := string(b)
-			var err error
-			if sp != nil {
-				err = p.store.InsertCtx(ctx, key, t.MaxHistory, pt)
-			} else {
-				err = p.store.Insert(key, t.MaxHistory, pt) //lint:allow ctxflow no active trace when the span is nil; the ctx-less fast path skips a second StartSpan per template
-			}
-			if err != nil {
-				p.recordStoreErr(err)
-				if p.onStoreErr != nil {
-					p.onStoreErr(err)
-				}
-			}
-			continue
+		key := t.AppendKey(kb[:0], i, j)
+		var err error
+		if sp != nil {
+			err = p.store.InsertCtx(ctx, key, t.MaxHistory, pt)
+		} else {
+			err = p.store.Insert(key, t.MaxHistory, pt) //lint:allow ctxflow no active trace when the span is nil; the ctx-less fast path skips a second StartSpan per template
 		}
-		r, ok := p.cats[string(b)]
-		if !ok {
-			r = catRef{c: histstore.NewCategory(t.MaxHistory), key: string(b)}
-			p.cats[r.key] = r
+		if err != nil {
+			p.recordStoreErr(err)
+			if p.onStoreErr != nil {
+				p.onStoreErr(err)
+			}
 		}
-		r.c.Insert(pt)
 	}
 }
 

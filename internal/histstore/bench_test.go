@@ -8,23 +8,15 @@ import (
 )
 
 // benchKeys precomputes a realistic key population: a few thousand
-// (template, value-combination) categories, zipf-free uniform access.
-func benchKeys(n int) []string {
-	keys := make([]string, n)
+// (template, value-combination) categories, zipf-free uniform access,
+// rendered the way the predictor hands keys to the store — as byte slices
+// prepared before the timed loop.
+func benchKeys(n int) [][]byte {
+	keys := make([][]byte, n)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("%d|u%d|e%d", i%12, i%997, i%311)
+		keys[i] = fmt.Appendf(nil, "%d|u%d|e%d", i%12, i%997, i%311)
 	}
 	return keys
-}
-
-// byteKeys renders keys the way the predictor probes the store: as byte
-// slices prepared before the timed loop.
-func byteKeys(keys []string) [][]byte {
-	out := make([][]byte, len(keys))
-	for i, k := range keys {
-		out[i] = []byte(k)
-	}
-	return out
 }
 
 // BenchmarkStoreInsert measures parallel streaming inserts into the
@@ -58,7 +50,6 @@ func BenchmarkStoreInsertPredict(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	bkeys := byteKeys(keys)
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -74,7 +65,7 @@ func BenchmarkStoreInsertPredict(b *testing.B) {
 				}
 				continue
 			}
-			s.View(bkeys[i], func(c *Category) {
+			s.View(keys[i], func(c *Category) {
 				mean, v := c.Abs().MeanVar()
 				_ = mean
 				_ = v
@@ -97,11 +88,10 @@ func BenchmarkStoreGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	bkeys := byteKeys(keys)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, _, ok := s.Get(bkeys[i%len(bkeys)])
+		c, _, ok := s.Get(keys[i%len(keys)])
 		if ok {
 			_, _, _ = c.AbsStats()
 		}
@@ -121,14 +111,13 @@ func BenchmarkStoreGetParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	bkeys := byteKeys(keys)
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(ctr.Add(1)))
 		for pb.Next() {
-			c, _, ok := s.Get(bkeys[rng.Intn(len(bkeys))])
+			c, _, ok := s.Get(keys[rng.Intn(len(keys))])
 			if ok {
 				_, _, _ = c.AbsStats()
 			}

@@ -22,9 +22,10 @@
 //     load + WAL replay, and the WAL is compacted after each snapshot.
 //
 // The package is deliberately ignorant of jobs and templates: keys are
-// opaque strings (internal/core builds them from template/value
+// opaque byte strings (internal/core renders them from template/value
 // combinations) and values are Points. internal/core layers the paper's
-// estimate selection on top via its store-backed predictor mode.
+// estimate selection on top: every template predictor keeps its category
+// database in a Store, memory-only (New) or durable (Open).
 package histstore
 
 import (
@@ -71,11 +72,11 @@ func (p Point) Validate() error {
 // materialized) on every mutation, so the predict path reads them with two
 // plain loads instead of re-deriving them per request.
 //
-// A Category is not internally synchronized. The batch (single-goroutine)
-// predictor mutates one in place through Insert; the Store instead treats
-// every published category as immutable and mutates through cowInsert,
-// which returns a successor snapshot — that is what makes the store's
-// read path lock-free.
+// A Category is not internally synchronized. Insert mutates one in place,
+// which is only safe before it is shared; the Store treats every
+// published category as immutable and mutates through cowInsert, which
+// returns a successor snapshot — that is what makes the store's read path
+// lock-free.
 type Category struct {
 	maxHistory int // 0 = unlimited
 	points     []Point
@@ -246,30 +247,3 @@ func restoreCategory(ps persistState) (*Category, error) {
 	c.finalize()
 	return c, nil
 }
-
-// RestorePoints rebuilds a category from a bare point sequence (no saved
-// moments), recomputing moments by sequential insertion. This is the
-// compatibility path for legacy core checkpoints, which predate moment
-// persistence; it restores the same predictions but not necessarily the
-// same low-order moment bits as the process that wrote the file.
-func RestorePoints(maxHistory, head int, pts []Point) (*Category, error) {
-	c, err := restoreCategory(persistState{MaxHistory: maxHistory, Head: head, Points: pts})
-	if err != nil {
-		return nil, err
-	}
-	c.abs = stats.Moments{}
-	c.rat = stats.Moments{}
-	for _, p := range pts {
-		c.abs.Add(p.RunTime)
-		c.rat.Add(p.Ratio)
-	}
-	c.finalize()
-	return c, nil
-}
-
-// Head returns the ring-start index (for persistence).
-func (c *Category) Head() int { return c.head }
-
-// Points returns a copy of the raw ring contents in storage order (for
-// persistence; pair with Head to reconstruct the ring).
-func (c *Category) Points() []Point { return append([]Point(nil), c.points...) }

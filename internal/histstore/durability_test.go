@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -19,7 +18,7 @@ func fill(t *testing.T, s *Store, seed int64, n int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("t%d|u%d", rng.Intn(3), rng.Intn(7))
+		key := fmt.Appendf(nil, "t%d|u%d", rng.Intn(3), rng.Intn(7))
 		maxHist := 0
 		if rng.Intn(2) == 0 {
 			maxHist = 8
@@ -250,7 +249,7 @@ func TestSnapshotOnMemoryOnlyStoreFails(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("memory-only close: %v", err)
 	}
-	if err := s.Insert("k", 0, pt(1, 0, 1)); err != nil {
+	if err := s.Insert([]byte("k"), 0, pt(1, 0, 1)); err != nil {
 		t.Fatalf("memory-only insert: %v", err)
 	}
 }
@@ -296,7 +295,7 @@ func TestDurableConcurrentInsertThenRecover(t *testing.T) {
 		go func(w int) {
 			rng := rand.New(rand.NewSource(int64(40 + w)))
 			for i := 0; i < 300; i++ {
-				key := fmt.Sprintf("w%d-k%d", w, rng.Intn(5)) // writer-private keys: deterministic per-key order
+				key := fmt.Appendf(nil, "w%d-k%d", w, rng.Intn(5)) // writer-private keys: deterministic per-key order
 				if err := live.Insert(key, 16, pt(float64(1+rng.Intn(5000)), 0, 2)); err != nil {
 					done <- err
 					return
@@ -327,17 +326,17 @@ func TestDurableInsertRejectsOversizedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Insert("before", 0, pt(100, 200, 4)); err != nil {
+	if err := live.Insert([]byte("before"), 0, pt(100, 200, 4)); err != nil {
 		t.Fatal(err)
 	}
-	huge := strings.Repeat("k", walMaxRecord)
+	huge := bytes.Repeat([]byte("k"), walMaxRecord)
 	if err := live.Insert(huge, 0, pt(100, 200, 4)); err == nil {
 		t.Fatal("oversized key accepted")
 	}
 	if live.Categories() != 1 {
 		t.Fatalf("rejected key mutated the store: %d categories", live.Categories())
 	}
-	if err := live.Insert("after", 0, pt(50, 0, 2)); err != nil {
+	if err := live.Insert([]byte("after"), 0, pt(50, 0, 2)); err != nil {
 		t.Fatalf("log unusable after oversized-key rejection: %v", err)
 	}
 	recovered, err := Open(dir)
@@ -362,10 +361,10 @@ func TestDurableInsertRejectsInvalidPointBeforeWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Insert("good", 0, pt(100, 200, 4)); err != nil {
+	if err := live.Insert([]byte("good"), 0, pt(100, 200, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Insert("bad", 0, Point{RunTime: 10, Ratio: math.NaN(), Nodes: 0}); err == nil {
+	if err := live.Insert([]byte("bad"), 0, Point{RunTime: 10, Ratio: math.NaN(), Nodes: 0}); err == nil {
 		t.Fatal("invalid point accepted")
 	}
 	if err := live.Close(); err != nil {
@@ -406,7 +405,7 @@ func (r *failingReader) Read(p []byte) (int, error) {
 // recovery fails instead of silently discarding intact records past it.
 func TestReadFrameDistinguishesIOErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := frame(&buf, recordPayload(1, "k", 0, pt(10, 0, 1))); err != nil {
+	if err := frame(&buf, recordPayload(1, []byte("k"), 0, pt(10, 0, 1))); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()

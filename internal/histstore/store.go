@@ -221,8 +221,8 @@ func (s *Store) refreshGauges(m *storeMetrics) {
 // bytes); handlers that serve metrics snapshots call it first.
 func (s *Store) RefreshMetrics() { s.refreshGauges(s.metrics.Load()) }
 
-// shardOf returns the shard owning key.
-func (s *Store) shardOf(key string) *shard { return s.shardAt(maphash.String(s.seed, key)) }
+// shardOf returns the shard owning a rendered key.
+func (s *Store) shardOf(key []byte) *shard { return s.shardAt(maphash.Bytes(s.seed, key)) }
 
 // shardAt returns the shard owning a key whose hash under s.seed is h.
 // maphash.String and maphash.Bytes agree on equal contents, so a string
@@ -230,12 +230,15 @@ func (s *Store) shardOf(key string) *shard { return s.shardAt(maphash.String(s.s
 func (s *Store) shardAt(h uint64) *shard { return &s.shards[h&uint64(len(s.shards)-1)] }
 
 // Insert records one completed-job point under key, creating the category
-// (with the given history bound) on first use. Invalid points (see
-// Point.Validate) are rejected up front, before they can reach memory or
-// the WAL. For durable stores the point is appended to the WAL before it
-// is applied — the write-ahead contract — and a WAL append failure leaves
-// the in-memory state unchanged so memory never runs ahead of the log.
-func (s *Store) Insert(key string, maxHistory int, p Point) error {
+// (with the given history bound) on first use. Like Get, it takes the key
+// as rendered bytes and indexes the tables without converting them; only
+// a new category copies the key into the string it is stored under.
+// Invalid points (see Point.Validate) are rejected up front, before they
+// can reach memory or the WAL. For durable stores the point is appended
+// to the WAL before it is applied — the write-ahead contract — and a WAL
+// append failure leaves the in-memory state unchanged so memory never
+// runs ahead of the log.
+func (s *Store) Insert(key []byte, maxHistory int, p Point) error {
 	return s.insert(nil, key, maxHistory, p)
 }
 
@@ -243,10 +246,10 @@ func (s *Store) Insert(key string, maxHistory int, p Point) error {
 // the trace active in ctx ("histstore.insert", with a nested
 // "histstore.wal_append" around the journal write for durable stores).
 // Without an active trace it is exactly Insert.
-func (s *Store) InsertCtx(ctx context.Context, key string, maxHistory int, p Point) error {
+func (s *Store) InsertCtx(ctx context.Context, key []byte, maxHistory int, p Point) error {
 	_, sp := trace.StartSpan(ctx, "histstore.insert")
 	if sp != nil {
-		sp.SetAttr("category", key)
+		sp.SetAttr("category", string(key))
 		defer sp.End()
 	}
 	return s.insert(sp, key, maxHistory, p)
@@ -254,7 +257,7 @@ func (s *Store) InsertCtx(ctx context.Context, key string, maxHistory int, p Poi
 
 // insert is the shared Insert body; sp, when non-nil, receives a child
 // span around the WAL append (the usual suspect when an insert is slow).
-func (s *Store) insert(sp *trace.Span, key string, maxHistory int, p Point) error {
+func (s *Store) insert(sp *trace.Span, key []byte, maxHistory int, p Point) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -302,11 +305,11 @@ func (s *Store) insert(sp *trace.Span, key string, maxHistory int, p Point) erro
 // nil for existing keys, and for new keys while the store-wide count is
 // below maxCats. The caller holds sh's writer mutex, so the answer stays
 // true through the subsequent applyLocked for this shard's keys.
-func (s *Store) roomFor(sh *shard, key string) error {
+func (s *Store) roomFor(sh *shard, key []byte) error {
 	if s.maxCats <= 0 {
 		return nil
 	}
-	if _, ok := sh.loadView().cats[key]; ok {
+	if _, ok := sh.loadView().cats[string(key)]; ok {
 		return nil
 	}
 	if s.nCats.Load() >= int64(s.maxCats) {
@@ -321,12 +324,13 @@ func (s *Store) roomFor(sh *shard, key string) error {
 // off to the side, and publish with an atomic swap. Readers racing with
 // this observe either the old snapshot or the fully built new one. The
 // only error is ErrCategoryLimit, when publishing a new key would exceed
-// the store's category cap.
+// the store's category cap. A new category is the only place the rendered
+// key becomes a string.
 //
 // taint: sink publishes the key and point into the live category table
-func (s *Store) applyLocked(sh *shard, key string, maxHistory int, p Point) error {
+func (s *Store) applyLocked(sh *shard, key []byte, maxHistory int, p Point) error {
 	v := sh.loadView()
-	if h, ok := v.cats[key]; ok {
+	if h, ok := v.cats[string(key)]; ok {
 		c := h.cur.Load()
 		before := c.Size()
 		nc := c.cowInsert(p)
@@ -339,9 +343,9 @@ func (s *Store) applyLocked(sh *shard, key string, maxHistory int, p Point) erro
 	}
 	c := NewCategory(maxHistory)
 	c.Insert(p)
-	h := &catHandle{key: key}
+	h := &catHandle{key: string(key)}
 	h.cur.Store(c)
-	sh.view.Store(v.withKey(key, h))
+	sh.view.Store(v.withKey(h.key, h))
 	s.nCats.Add(1)
 	s.nPoints.Add(int64(c.Size()))
 	return nil
@@ -386,13 +390,15 @@ func (s *Store) Get(key []byte) (c *Category, stored string, ok bool) {
 //
 // hotpath: exempt span plumbing runs only when a trace is sampled; untraced requests take Get directly
 func (s *Store) GetCtx(ctx context.Context, key []byte) (*Category, string, bool) {
-	_, sp := trace.StartSpan(ctx, "histstore.view")
+	sp := trace.SpanFromContext(ctx).StartChild("histstore.view")
 	if sp == nil {
 		return s.Get(key)
 	}
-	sp.SetAttr("category", string(key))
 	c, stored, ok := s.Get(key)
-	if !ok {
+	if ok {
+		sp.SetAttr("category", stored)
+	} else {
+		sp.SetAttr("category", string(key))
 		sp.SetAttr("hit", "false")
 	}
 	sp.End()
@@ -401,7 +407,7 @@ func (s *Store) GetCtx(ctx context.Context, key []byte) (*Category, string, bool
 
 // get is the uninstrumented snapshot lookup.
 func (s *Store) get(key []byte) (*Category, string, bool) {
-	h, ok := s.shardAt(maphash.Bytes(s.seed, key)).loadView().cats[string(key)]
+	h, ok := s.shardOf(key).loadView().cats[string(key)]
 	if !ok {
 		return nil, "", false
 	}
@@ -435,14 +441,13 @@ func (s *Store) ViewCtx(ctx context.Context, key []byte, f func(*Category)) bool
 
 // Put installs a fully built category under key, replacing any existing
 // one. The store takes ownership: the caller must not mutate c after Put.
-// It is the bulk-restore path (snapshot load, legacy-checkpoint migration)
-// and does not journal; durable callers snapshot afterwards to make the
-// restored state recoverable.
+// It is the snapshot-load path and does not journal: the snapshot it
+// restores from already makes the state recoverable.
 //
 // taint: sink installs a fully built category into the live table without journaling
 func (s *Store) Put(key string, c *Category) {
 	c.finalize()
-	sh := s.shardOf(key)
+	sh := s.shardAt(maphash.String(s.seed, key))
 	sh.mu.Lock()
 	v := sh.loadView()
 	if h, ok := v.cats[key]; ok {
@@ -458,19 +463,6 @@ func (s *Store) Put(key string, c *Category) {
 	s.nCats.Add(1)
 	s.nPoints.Add(int64(c.Size()))
 	sh.mu.Unlock()
-}
-
-// Reset drops every category (the in-memory half of a full restore).
-func (s *Store) Reset() {
-	empty := &shardView{cats: map[string]*catHandle{}}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.view.Store(empty)
-		sh.mu.Unlock()
-	}
-	s.nCats.Store(0)
-	s.nPoints.Store(0)
 }
 
 // Categories returns the number of categories currently stored.

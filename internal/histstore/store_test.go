@@ -20,13 +20,13 @@ func pt(rt, maxRT, nodes float64) Point {
 
 func TestStoreInsertAndView(t *testing.T) {
 	s := New()
-	if err := s.Insert("k1", 0, pt(100, 200, 4)); err != nil {
+	if err := s.Insert([]byte("k1"), 0, pt(100, 200, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert("k1", 0, pt(120, 0, 4)); err != nil {
+	if err := s.Insert([]byte("k1"), 0, pt(120, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert("k2", 0, pt(7, 0, 1)); err != nil {
+	if err := s.Insert([]byte("k2"), 0, pt(7, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Categories() != 2 || s.Points() != 3 {
@@ -62,7 +62,7 @@ func TestStoreInsertAndView(t *testing.T) {
 func TestStoreGetByteKey(t *testing.T) {
 	s := New(WithShards(16))
 	for i := 0; i < 64; i++ {
-		if err := s.Insert(fmt.Sprintf("%d|user%d", i%5, i), 0, pt(float64(10+i), 0, 1)); err != nil {
+		if err := s.Insert(fmt.Appendf(nil, "%d|user%d", i%5, i), 0, pt(float64(10+i), 0, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,12 +85,12 @@ func TestStoreGetByteKey(t *testing.T) {
 func TestStoreBoundedEviction(t *testing.T) {
 	s := New(WithShards(4))
 	for i := 0; i < 10; i++ {
-		if err := s.Insert("k", 4, pt(100, 0, 1)); err != nil {
+		if err := s.Insert([]byte("k"), 4, pt(100, 0, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if err := s.Insert("k", 4, pt(500, 0, 1)); err != nil {
+		if err := s.Insert([]byte("k"), 4, pt(500, 0, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,13 +154,13 @@ func TestCategoryMomentsMatchRecompute(t *testing.T) {
 	checkMoments("rat", c.Rat().N, rm, rv, rat)
 }
 
-func TestStorePutResetAndForEach(t *testing.T) {
+func TestStorePutAndForEach(t *testing.T) {
 	s := New()
 	c := NewCategory(2)
 	c.Insert(pt(10, 0, 1))
 	c.Insert(pt(20, 0, 1))
 	s.Put("a", c)
-	if err := s.Insert("b", 0, pt(5, 0, 1)); err != nil {
+	if err := s.Insert([]byte("b"), 0, pt(5, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Categories() != 2 || s.Points() != 3 {
@@ -175,10 +175,6 @@ func TestStorePutResetAndForEach(t *testing.T) {
 	s.ForEach(func(k string, c *Category) { seen[k] = c.Size() })
 	if len(seen) != 2 || seen["a"] != 0 || seen["b"] != 1 {
 		t.Fatalf("ForEach saw %v", seen)
-	}
-	s.Reset()
-	if s.Categories() != 0 || s.Points() != 0 {
-		t.Fatalf("after reset: categories=%d points=%d", s.Categories(), s.Points())
 	}
 }
 
@@ -202,7 +198,7 @@ func TestStoreConcurrentInsertPredict(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < inserts; i++ {
-				k := fmt.Sprintf("cat-%d", rng.Intn(keys))
+				k := fmt.Appendf(nil, "cat-%d", rng.Intn(keys))
 				if err := s.Insert(k, 16, pt(float64(1+rng.Intn(1000)), 0, 1)); err != nil {
 					t.Error(err)
 					return
@@ -255,25 +251,35 @@ func TestWithShardsRounding(t *testing.T) {
 	}
 }
 
-func TestRestorePointsValidation(t *testing.T) {
-	if _, err := RestorePoints(2, 0, []Point{{RunTime: -1, Nodes: 1}}); err == nil {
+// TestRestoreCategoryValidation: snapshot recovery refuses persisted
+// category state whose points or ring shape no live category could have,
+// and restores a valid ring with its persisted moments verbatim.
+func TestRestoreCategoryValidation(t *testing.T) {
+	if _, err := restoreCategory(persistState{MaxHistory: 2, Points: []Point{{RunTime: -1, Nodes: 1}}}); err == nil {
 		t.Error("negative run time accepted")
 	}
-	if _, err := RestorePoints(2, 0, make([]Point, 3)); err == nil {
+	if _, err := restoreCategory(persistState{MaxHistory: 2, Points: make([]Point, 3)}); err == nil {
 		t.Error("points beyond history bound accepted")
 	}
-	if _, err := RestorePoints(2, 5, []Point{{RunTime: 1, Nodes: 1, Ratio: math.NaN()}}); err == nil {
+	if _, err := restoreCategory(persistState{MaxHistory: 2, Head: 5,
+		Points: []Point{{RunTime: 1, Nodes: 1, Ratio: math.NaN()}}}); err == nil {
 		t.Error("out-of-range head accepted")
 	}
-	c, err := RestorePoints(2, 1, []Point{
-		{RunTime: 10, Nodes: 1, Ratio: math.NaN()},
-		{RunTime: 20, Nodes: 2, Ratio: 0.5},
-	})
+	live := NewCategory(2)
+	for _, p := range []Point{pt(10, 0, 1), pt(20, 40, 2), pt(30, 60, 1)} {
+		live.Insert(p)
+	}
+	c, err := restoreCategory(live.state())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != 2 || c.Abs().N != 2 || c.Rat().N != 1 {
+	if c.Size() != 2 || c.Abs().N != 2 || c.Rat().N != 2 {
 		t.Fatalf("restored category: size=%d absN=%d ratN=%d", c.Size(), c.Abs().N, c.Rat().N)
+	}
+	m, v, n := c.AbsStats()
+	lm, lv, ln := live.AbsStats()
+	if math.Float64bits(m) != math.Float64bits(lm) || math.Float64bits(v) != math.Float64bits(lv) || n != ln {
+		t.Fatalf("restored abs stats (%v, %v, %d), live (%v, %v, %d)", m, v, n, lm, lv, ln)
 	}
 }
 
@@ -292,7 +298,7 @@ func TestInsertRejectsInvalidPoints(t *testing.T) {
 	}
 	s := New()
 	for _, p := range bad {
-		if err := s.Insert("k", 0, p); err == nil {
+		if err := s.Insert([]byte("k"), 0, p); err == nil {
 			t.Errorf("invalid point %+v accepted", p)
 		}
 	}
@@ -309,7 +315,7 @@ func TestMemoryStoreWALRecordsMetricSilent(t *testing.T) {
 	reg := obs.NewRegistry()
 	s.SetMetrics(reg)
 	for i := 0; i < 5; i++ {
-		if err := s.Insert("k", 0, pt(100, 200, 4)); err != nil {
+		if err := s.Insert([]byte("k"), 0, pt(100, 200, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -88,7 +88,7 @@ func headerPayload(baseSeq uint64) []byte {
 }
 
 // recordPayload builds one insert record payload.
-func recordPayload(seq uint64, key string, maxHistory int, pt Point) []byte {
+func recordPayload(seq uint64, key []byte, maxHistory int, pt Point) []byte {
 	p := make([]byte, walRecFixed+len(key))
 	binary.LittleEndian.PutUint64(p[0:], seq)
 	binary.LittleEndian.PutUint64(p[8:], math.Float64bits(pt.RunTime))
@@ -104,20 +104,20 @@ func recordPayload(seq uint64, key string, maxHistory int, pt Point) []byte {
 // (lengths) only; validateRecord judges the decoded values.
 //
 // taint: source wal bytes come from disk and can be corrupt, truncated, or forged
-func parseRecord(p []byte) (seq uint64, key string, maxHistory int, pt Point, err error) {
+func parseRecord(p []byte) (seq uint64, key []byte, maxHistory int, pt Point, err error) {
 	if len(p) < walRecFixed {
-		return 0, "", 0, Point{}, fmt.Errorf("histstore: wal record too short (%d bytes)", len(p))
+		return 0, nil, 0, Point{}, fmt.Errorf("histstore: wal record too short (%d bytes)", len(p))
 	}
 	keyLen := binary.LittleEndian.Uint32(p[36:])
 	if int(keyLen) != len(p)-walRecFixed {
-		return 0, "", 0, Point{}, fmt.Errorf("histstore: wal record key length %d disagrees with payload", keyLen)
+		return 0, nil, 0, Point{}, fmt.Errorf("histstore: wal record key length %d disagrees with payload", keyLen)
 	}
 	seq = binary.LittleEndian.Uint64(p[0:])
 	pt.RunTime = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
 	pt.Ratio = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
 	pt.Nodes = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
 	maxHistory = int(binary.LittleEndian.Uint32(p[32:]))
-	key = string(p[walRecFixed:])
+	key = p[walRecFixed:]
 	return seq, key, maxHistory, pt, nil
 }
 
@@ -128,11 +128,11 @@ func parseRecord(p []byte) (seq uint64, key string, maxHistory int, pt Point, er
 // parse — replay must not let it poison a live category.
 //
 // taint: sanitizer rejects decoded wal records no healthy writer could have journaled
-func validateRecord(key string, maxHistory int, pt Point) error {
+func validateRecord(key []byte, maxHistory int, pt Point) error {
 	if err := pt.Validate(); err != nil {
 		return err
 	}
-	if key == "" {
+	if len(key) == 0 {
 		return errors.New("histstore: wal record has an empty category key")
 	}
 	if maxHistory < 0 {
@@ -145,7 +145,7 @@ func validateRecord(key string, maxHistory int, pt Point) error {
 // assigned sequence number becomes the wal's new last.
 //
 // taint: sink appended records replay into live categories on every open
-func (w *wal) append(key string, maxHistory int, pt Point) error {
+func (w *wal) append(key []byte, maxHistory int, pt Point) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken {

@@ -226,6 +226,41 @@ func (r *Reselector) maybeReselectLocked(now float64) *SwitchEvent {
 	return &ev
 }
 
+// Switched returns the predictor a switch has installed in place of base,
+// or nil while base serves. Stable members such as Gibbons and Downey are
+// not safe for concurrent use, so the returned predictor runs each call
+// under the controller's mutex, the one ObserveAt holds while it trains
+// the stable. While base serves, the caller predicts with base directly
+// and takes no lock; base must therefore be concurrency-safe.
+func (r *Reselector) Switched(base predict.Predictor) predict.Predictor {
+	cur := r.sw.Current()
+	if cur == base {
+		return nil
+	}
+	return lockedMember{mu: &r.mu, p: cur}
+}
+
+// lockedMember serializes a stable member's calls with the stable's
+// training on the controller's mutex.
+type lockedMember struct {
+	mu *sync.Mutex
+	p  predict.Predictor
+}
+
+func (m lockedMember) Name() string { return m.p.Name() }
+
+func (m lockedMember) Predict(j *workload.Job, age int64) (int64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.p.Predict(j, age)
+}
+
+func (m lockedMember) Observe(j *workload.Job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.p.Observe(j)
+}
+
 // Events returns a copy of the retained switch events, oldest first.
 func (r *Reselector) Events() []SwitchEvent {
 	r.mu.Lock()

@@ -23,8 +23,7 @@ import (
 // scored on every completion so the windows stay comparable.
 //
 // A Shadow is NOT safe for concurrent use; callers serialize (the
-// Reselector under its mutex, the service under its write lock, the
-// simulator single-threaded).
+// Reselector under its mutex, the simulator single-threaded).
 type Shadow struct {
 	tracker    *Tracker
 	members    []Member

@@ -58,10 +58,6 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Running {
 		running = append(running, req.Running[i].toJob())
 	}
-	// The forward simulation reads the predictor's history: share the read
-	// lock exactly like /v1/predictwait.
-	s.mu.RLock()
 	d := s.adm.EvaluateCtx(r.Context(), req.Now, target, queue, running)
-	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, AdmitResponse{Decision: d})
 }

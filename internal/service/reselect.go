@@ -14,6 +14,7 @@ import (
 	"repro/internal/predict"
 	"repro/internal/predict/downey"
 	"repro/internal/predict/gibbons"
+	"repro/internal/workload"
 )
 
 // ReselectOptions configures EnableReselect. Zero values take defaults.
@@ -51,8 +52,6 @@ type ReselectOptions struct {
 //
 // Call it during configuration, before the handler serves traffic.
 func (s *Server) EnableReselect(opts ReselectOptions) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var topt []accuracy.Option
 	if opts.CostRatio > 0 {
 		topt = append(topt, accuracy.WithCostRatio(opts.CostRatio))
@@ -115,22 +114,30 @@ func servingWindow(w int) int {
 // Reselector returns the attached controller, or nil before EnableReselect.
 func (s *Server) Reselector() *accuracy.Reselector { return s.resel }
 
-// servingOverride reports the predictor a switch has installed in place of
-// the core template predictor, or nil while the core (or nothing) serves.
-func (s *Server) servingOverride() predict.Predictor {
+// switched returns the predictor a re-selection switch has installed in
+// place of the core template predictor (see accuracy.Reselector.Switched),
+// or nil while the core predictor serves; callers then predict with s.pred
+// lock-free.
+func (s *Server) switched() predict.Predictor {
 	if s.resel == nil {
 		return nil
 	}
-	cur := s.resel.Switchable().Current()
-	s.mu.RLock()
-	serving := predict.Predictor(s.pred)
-	s.mu.RUnlock()
-	// Interface identity: the switchable starts on s.pred and only a
-	// controller switch replaces it, so pointer equality is exact.
-	if cur != serving {
-		return cur
+	return s.resel.Switched(s.pred)
+}
+
+// predictWith is one /v1/predict answer from a switched-in predictor:
+// no template details, the job's maximum run time when it has no
+// estimate, and the predictor named.
+func (s *Server) predictWith(p predict.Predictor, j *workload.Job, age int64) PredictResponse {
+	sec, ok := p.Predict(j, age)
+	resp := PredictResponse{OK: ok, Seconds: sec, Predictor: p.Name()}
+	if ok {
+		s.mPredictOK.Inc()
+	} else {
+		s.mPredictMiss.Inc()
+		resp.Seconds = j.MaxRunTime
 	}
-	return nil
+	return resp
 }
 
 // StableResponse is the GET /v1/stable payload: the serving predictor, the

@@ -34,7 +34,7 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 // closed when serving stops.
 func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
-		Handler:           s.Handler(), //lint:allow ctxflow handler registration, not a request: per-request traces ride r.Context(), and the Checkpoint→Snapshot hop only runs when no store is attached
+		Handler:           s.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		WriteTimeout:      writeTimeout,

@@ -9,11 +9,13 @@
 // controller attached (SetAdmission), POST /v1/admit turns those wait
 // estimates into admit/shed decisions against per-class SLO budgets.
 //
-// The server guards the predictor with a read-write mutex: observations
-// and checkpoints take the write lock, while predictions — which never
-// mutate the category database — share a read lock, so concurrent
-// /v1/predict and /v1/predictwait requests proceed in parallel and only
-// serialize behind observes.
+// The server holds no lock of its own. The core predictor keeps its
+// categories in a histstore.Store, so observations and predictions run
+// concurrently: predictions are lock-free snapshot reads, and observes
+// serialize only per store shard. The one serialized path is re-selection
+// (EnableReselect): after a switch to a stable member that is not safe
+// for concurrent use, predictions run under the re-selection controller's
+// mutex, the one the observes that train the stable hold.
 //
 // Every endpoint is instrumented through an internal/obs registry
 // (request counts, error counts, latency histograms, predictor hit/miss
@@ -44,10 +46,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -94,12 +94,9 @@ func (j *JobJSON) toJob() *workload.Job {
 
 // Server is the HTTP prediction service.
 type Server struct {
-	mu           sync.RWMutex
-	pred         *core.Predictor  // guarded by mu
-	store        *histstore.Store // non-nil when the predictor is store-backed
+	pred         *core.Predictor
 	machineNodes int
 	observations atomic.Int64
-	statePath    string // legacy checkpoint destination; "" disables it
 	reg          *obs.Registry
 	log          *obs.Logger
 	pprof        bool
@@ -112,8 +109,8 @@ type Server struct {
 	templateKeys []string
 
 	// Re-selection (reselect.go): nil until EnableReselect. The controller
-	// serializes the shadow stable behind its own mutex; callers only need
-	// s.mu for the core predictor reads the pipeline makes.
+	// serializes the shadow stable, and predictions by a switched-in
+	// member, behind its own mutex.
 	resel          *accuracy.Reselector
 	reselSwitching bool // false = shadow-only (scoreboard without switching)
 
@@ -170,17 +167,10 @@ func (s *Server) SetTracer(t *trace.Tracer) {
 // so embedders can feed completions observed outside the HTTP surface.
 func (s *Server) Accuracy() *accuracy.Tracker { return s.acc }
 
-// SetStatePath configures where /v1/checkpoint (and Checkpoint) write the
-// predictor state in the legacy single-file format. Ignored when a history
-// store is attached — the store's snapshot mechanism takes over.
-func (s *Server) SetStatePath(path string) { s.statePath = path }
-
-// SetStore attaches the history store backing the predictor. Checkpoints
-// become store snapshots, the store's metrics register with the server's
-// registry, and observes run under the read lock (the store's shard locks
-// make them safe), so they no longer serialize against predictions.
+// SetStore registers the history store's metrics (histstore.*) with the
+// server's registry. st should be the store the predictor was built with
+// (core.WithStore); checkpoints snapshot the predictor's store either way.
 func (s *Server) SetStore(st *histstore.Store) {
-	s.store = st
 	if st != nil {
 		st.SetMetrics(s.reg)
 	}
@@ -200,28 +190,6 @@ func (s *Server) EnablePprof() { s.pprof = true }
 // Metrics returns the server's metrics registry, so embedders (cmd/qwaitd)
 // can log periodic snapshots or add their own series.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// Checkpoint persists the predictor's history: a store snapshot when a
-// history store is attached, otherwise the legacy single-file state dump.
-func (s *Server) Checkpoint() error {
-	if s.store != nil {
-		return s.store.Snapshot()
-	}
-	if s.statePath == "" {
-		return fmt.Errorf("service: no state path configured")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return saveStateFile(s.pred, s.statePath)
-}
-
-// checkpointDest reports where Checkpoint writes, for the HTTP response.
-func (s *Server) checkpointDest() string {
-	if s.store != nil {
-		return s.store.Dir()
-	}
-	return s.statePath
-}
 
 // Handler returns the service's HTTP handler. Every endpoint is wrapped
 // with request/error counters and a latency histogram named after it.
@@ -298,17 +266,10 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 // text/plain or application/openmetrics-text (or ?format=prometheus),
 // each with its explicit Content-Type.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	cats := s.pred.Categories()
-	hist := s.pred.HistorySize()
-	tmpl := len(s.pred.Templates())
-	s.mu.RUnlock()
-	s.reg.Gauge("predictor.categories").SetInt(int64(cats))
-	s.reg.Gauge("predictor.history_size").SetInt(int64(hist))
-	s.reg.Gauge("predictor.templates").SetInt(int64(tmpl))
-	if s.store != nil {
-		s.store.RefreshMetrics()
-	}
+	s.reg.Gauge("predictor.categories").SetInt(int64(s.pred.Categories()))
+	s.reg.Gauge("predictor.history_size").SetInt(int64(s.pred.HistorySize()))
+	s.reg.Gauge("predictor.templates").SetInt(int64(len(s.pred.Templates())))
+	s.pred.Store().RefreshMetrics()
 	s.acc.Publish(s.reg)
 	if s.resel != nil {
 		s.resel.Serving().Publish(s.reg) // accuracy.serving.*
@@ -389,22 +350,19 @@ func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleCheckpoint snapshots the predictor's history store. A memory-only
+// store has nowhere to write, so checkpointing it fails.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var err error
-	if s.store != nil {
-		err = s.store.SnapshotCtx(r.Context())
-	} else {
-		err = s.Checkpoint()
-	}
-	if err != nil {
+	st := s.pred.Store()
+	if err := st.SnapshotCtx(r.Context()); err != nil {
 		errorJSON(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"saved": s.checkpointDest()})
+	writeJSON(w, http.StatusOK, map[string]string{"saved": st.Dir()})
 }
 
 // writeJSON writes v as a JSON response.
@@ -475,35 +433,19 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// enters the history (afterwards the job would predict itself): the
 	// online counterpart of the paper's Tables 4–9 error columns, tracked
 	// for the whole stream and for the winning template.
-	score := func() {
-		if det, ok := s.pred.PredictDetailedCtx(ctx, job, 0); ok {
-			err, actual := float64(det.Seconds), float64(job.RunTime)
-			s.acc.Record("all", err, actual)
-			s.acc.Record(s.templateKeys[det.Template], err, actual)
-		}
-		// The re-selection pipeline also scores pre-observe: the serving
-		// estimate and every shadow member's estimate are the ones a queued
-		// job would have received at this instant. Switch events are stamped
-		// with arrival wall time — the service's event clock.
-		if s.resel != nil {
-			s.resel.ObserveAt(ctx, float64(time.Now().Unix()), job) //lint:allow wallclock switch events record real arrival time
-		}
+	if det, ok := s.pred.PredictDetailedCtx(ctx, job, 0); ok {
+		err, actual := float64(det.Seconds), float64(job.RunTime)
+		s.acc.Record("all", err, actual)
+		s.acc.Record(s.templateKeys[det.Template], err, actual)
 	}
-	if s.store != nil {
-		// Store-backed observes are concurrency-safe (the store's shard
-		// locks guard them), so they share the read lock and proceed in
-		// parallel with predictions; the write lock is only needed to
-		// exclude whole-database swaps (LoadState).
-		s.mu.RLock()
-		score()
-		s.pred.ObserveCtx(ctx, job)
-		s.mu.RUnlock()
-	} else {
-		s.mu.Lock()
-		score()
-		s.pred.ObserveCtx(ctx, job)
-		s.mu.Unlock()
+	// The re-selection pipeline also scores pre-observe: the serving
+	// estimate and every shadow member's estimate are the ones a queued
+	// job would have received at this instant. Switch events are stamped
+	// with arrival wall time — the service's event clock.
+	if s.resel != nil {
+		s.resel.ObserveAt(ctx, float64(time.Now().Unix()), job) //lint:allow wallclock switch events record real arrival time
 	}
+	s.pred.ObserveCtx(ctx, job)
 	s.observations.Add(1)
 	s.mObserve.Inc()
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
@@ -539,28 +481,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// A re-selection switch replaces the serving predictor: predictions
 	// come from the scoreboard winner (no template details) until the
 	// controller switches again.
-	if p := s.servingOverride(); p != nil {
-		s.mu.RLock()
-		sec, ok := p.Predict(job, req.Age)
-		s.mu.RUnlock()
-		resp := PredictResponse{OK: ok, Predictor: p.Name()}
-		if ok {
-			s.mPredictOK.Inc()
-			resp.Seconds = sec
-		} else {
-			s.mPredictMiss.Inc()
-			resp.Seconds = job.MaxRunTime
-		}
-		writeJSON(w, http.StatusOK, resp)
+	if p := s.switched(); p != nil {
+		writeJSON(w, http.StatusOK, s.predictWith(p, job, req.Age))
 		return
 	}
-	s.mu.RLock()
 	det, ok := s.pred.PredictDetailedCtx(r.Context(), job, req.Age)
 	var servedBy string
 	if s.resel != nil {
 		servedBy = s.pred.Name()
 	}
-	s.mu.RUnlock()
 	if ok {
 		s.mPredictOK.Inc()
 	} else {
@@ -609,41 +538,24 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items := make([]core.BatchItem, len(req.Jobs))
-	jobs := make([]*workload.Job, len(req.Jobs))
 	for i := range req.Jobs {
-		jobs[i] = req.Jobs[i].Job.toJob()
-		items[i] = core.BatchItem{Job: jobs[i], Age: req.Jobs[i].Age}
+		items[i] = core.BatchItem{Job: req.Jobs[i].Job.toJob(), Age: req.Jobs[i].Age}
 	}
-	if p := s.servingOverride(); p != nil {
+	resp := PredictBatchResponse{Results: make([]PredictResponse, len(items))}
+	if p := s.switched(); p != nil {
 		// Switched serving predictor: score the batch member by member (no
 		// category resolution to amortize outside the core predictor).
-		resp := PredictBatchResponse{Results: make([]PredictResponse, len(jobs))}
-		name := p.Name()
-		s.mu.RLock()
-		for i, j := range jobs {
-			sec, ok := p.Predict(j, items[i].Age)
-			pr := PredictResponse{OK: ok, Predictor: name}
-			if ok {
-				s.mPredictOK.Inc()
-				pr.Seconds = sec
-			} else {
-				s.mPredictMiss.Inc()
-				pr.Seconds = j.MaxRunTime
-			}
-			resp.Results[i] = pr
+		for i, it := range items {
+			resp.Results[i] = s.predictWith(p, it.Job, it.Age)
 		}
-		s.mu.RUnlock()
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	s.mu.RLock()
 	res := s.pred.PredictDetailedBatchCtx(r.Context(), items)
 	var servedBy string
 	if s.resel != nil {
 		servedBy = s.pred.Name()
 	}
-	s.mu.RUnlock()
-	resp := PredictBatchResponse{Results: make([]PredictResponse, len(res))}
 	for i, br := range res {
 		pr := PredictResponse{OK: br.OK, Predictor: servedBy}
 		if br.OK {
@@ -654,7 +566,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 			pr.Points = br.N
 		} else {
 			s.mPredictMiss.Inc()
-			pr.Seconds = jobs[i].MaxRunTime
+			pr.Seconds = items[i].Job.MaxRunTime
 		}
 		resp.Results[i] = pr
 	}
@@ -709,17 +621,15 @@ func (s *Server) handlePredictWait(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Running {
 		running = append(running, req.Running[i].toJob())
 	}
-	s.mu.RLock()
 	// Wait predictions follow re-selection: the forward simulation runs the
-	// predictor currently serving (the switchable tracks switches), so a
-	// drift-driven switch changes wait estimates on the same completion.
+	// predictor currently serving, so a drift-driven switch changes wait
+	// estimates on the same completion.
 	var rp predict.Predictor = s.pred
-	if s.resel != nil {
-		rp = s.resel.Switchable()
+	if p := s.switched(); p != nil {
+		rp = p
 	}
 	start, err := waitpred.PredictStartCtx(r.Context(), req.Now, target, queue, running,
 		s.machineNodes, pol, rp, predict.MaxRuntime{}, 0)
-	s.mu.RUnlock()
 	if err != nil {
 		s.mWaitErrors.Inc()
 		errorJSON(w, http.StatusUnprocessableEntity, "%v", err)
@@ -740,50 +650,10 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	resp := StatsResponse{
+	writeJSON(w, http.StatusOK, StatsResponse{
 		Categories:   s.pred.Categories(),
 		Observations: s.observations.Load(),
 		MachineNodes: s.machineNodes,
 		Templates:    len(s.pred.Templates()),
-	}
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// saveStateFile atomically writes the predictor checkpoint: write to a
-// temporary file in the same directory, then rename over the destination.
-func saveStateFile(pred *core.Predictor, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := pred.SaveState(f); err != nil {
-		_ = f.Close()      // the SaveState error is the one worth reporting
-		_ = os.Remove(tmp) // best-effort cleanup of a partial checkpoint
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp) // best-effort cleanup of a partial checkpoint
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadStateFile restores a predictor checkpoint written by Checkpoint.
-// A missing file is not an error (cold start).
-func LoadStateFile(pred *core.Predictor, path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	defer f.Close() //lint:allow errdrop read-only file; a close error cannot lose data
-	if err := pred.LoadState(f); err != nil {
-		return false, err
-	}
-	return true, nil
+	})
 }

@@ -272,16 +272,11 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestCheckpointEndpointAndRestore: /v1/checkpoint snapshots a durable
+// store, and a fresh predictor over the store reopened from that
+// directory predicts identically.
 func TestCheckpointEndpointAndRestore(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/state.jsonl"
-	pred := core.New(core.DefaultTemplates(
-		workload.MaskOf(workload.CharUser, workload.CharExec), true))
-	s := New(pred, 64)
-	s.SetStatePath(path)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
+	ts, _, st := newStoreServer(t)
 	for i := 0; i < 3; i++ {
 		post(t, ts.URL+"/v1/observe", ObserveRequest{Job: job(i, "alice", 8, 600, 1200)}, nil)
 	}
@@ -290,24 +285,26 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 		t.Fatalf("checkpoint status %d", resp.StatusCode)
 	}
 
-	// A fresh predictor restored from the file predicts identically.
-	fresh := core.New(core.DefaultTemplates(
-		workload.MaskOf(workload.CharUser, workload.CharExec), true))
-	restored, err := LoadStateFile(fresh, path)
-	if err != nil || !restored {
-		t.Fatalf("restore: %v, %v", restored, err)
+	reopened, err := histstore.Open(st.Dir())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer func() {
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	fresh := core.New(core.DefaultTemplates(
+		workload.MaskOf(workload.CharUser, workload.CharExec), true), core.WithStore(reopened))
 	got, ok := fresh.Predict(&workload.Job{User: "alice", Executable: "alice/app",
 		Nodes: 8, MaxRunTime: 1200}, 0)
 	if !ok || got != 600 {
 		t.Fatalf("restored prediction = %d, %v", got, ok)
 	}
-	// Missing file is a cold start, not an error.
-	if restored, err := LoadStateFile(fresh, dir+"/missing"); err != nil || restored {
-		t.Fatalf("missing file: %v, %v", restored, err)
-	}
 }
 
+// TestCheckpointWithoutPath: a predictor over its default memory-only
+// store has no directory to snapshot into, so /v1/checkpoint fails.
 func TestCheckpointWithoutPath(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp := post(t, ts.URL+"/v1/checkpoint", struct{}{}, nil)
@@ -392,9 +389,9 @@ func TestErrorCounting(t *testing.T) {
 	}
 }
 
-// TestParallelPredictReaders exercises the read-lock path: many concurrent
-// /v1/predict and /v1/predictwait readers race observes. Run under -race
-// this validates the RWMutex conversion.
+// TestParallelPredictReaders: many concurrent /v1/predict and
+// /v1/predictwait readers race observes on the default memory-only store.
+// Run under -race it validates that the server needs no lock of its own.
 func TestParallelPredictReaders(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for i := 0; i < 5; i++ {
@@ -572,8 +569,8 @@ func TestStoreBackedMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestStoreBackedConcurrentObservePredict: store-backed observes share the
-// read lock, so mixed traffic runs concurrently; under -race this is the
+// TestStoreBackedConcurrentObservePredict: mixed observe/predict traffic
+// on a durable store runs concurrently; under -race this is the
 // service-layer safety proof.
 func TestStoreBackedConcurrentObservePredict(t *testing.T) {
 	ts, s, _ := newStoreServer(t)
