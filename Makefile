@@ -78,7 +78,7 @@ bench-smoke:
 # the exact pipeline the CI bench-gate job runs. Override the baseline
 # with BENCH_BASELINE=...; iteration/sample counts come from the script's
 # BENCHTIME_* / BENCHCOUNT environment knobs (see scripts/bench_gate.sh).
-BENCH_BASELINE ?= BENCH_0013.json
+BENCH_BASELINE ?= BENCH_0015.json
 bench-gate:
 	sh scripts/bench_gate.sh $(BENCH_BASELINE)
 

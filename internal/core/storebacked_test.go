@@ -201,18 +201,74 @@ func TestBatchPredictEdgeCases(t *testing.T) {
 func TestStoreBackedDurableMatchesBatch(t *testing.T) {
 	for _, name := range workload.StudyNames {
 		t.Run(name, func(t *testing.T) {
-			mustMatchBatchDigest(t, name, durableRecoveredStream(t, studyWorkload(t, name)))
+			w := studyWorkload(t, name)
+			mustMatchBatchDigest(t, name, durableRecoveredStream(t, DefaultTemplates(w.Chars, w.HasMaxRT), w))
 		})
 	}
 }
 
-// durableRecoveredStream is mustPredictAll over w through a durable store
-// that is snapshotted at the half, crashed (no Close, no final snapshot)
-// at three quarters, and recovered from snapshot plus WAL tail into a
-// fresh predictor for the rest.
-func durableRecoveredStream(t *testing.T, w *workload.Workload) []Prediction {
+// evictionDigest is the predictionDigest of mustPredictAll over
+// evictionWorkload with evictionTemplates, recorded from the flat-ring
+// store (one backing array per category, copied whole on every eviction)
+// before category rings were stored in chunks. batchDigests never reach
+// a 4096-point bound; here every bounded category wraps several times, and
+// the age-600 predictions run the age-conditioned mean and regression,
+// whose floating-point results depend on the order ForEach visits the
+// ring's slots.
+const evictionDigest = 0xfe7ba066f4b671f0
+
+// evictionTemplates are small-bound templates that wrap on
+// evictionWorkload: per-user rings of 7, node-bucketed rings of exactly
+// one chunk (128) and global rings one point past it (129), mean and
+// regression, absolute and relative, all conditioned on age.
+func evictionTemplates() []Template {
+	user := workload.MaskOf(workload.CharUser)
+	return []Template{
+		{Chars: user, MaxHistory: 7, UseAge: true, Pred: PredMean},
+		{Chars: user, MaxHistory: 7, Relative: true, UseAge: true, Pred: PredMean},
+		{UseNodes: true, NodeRange: 16, MaxHistory: 128, UseAge: true, Pred: PredMean},
+		{MaxHistory: 129, UseAge: true, Pred: PredMean},
+		{MaxHistory: 129, Relative: true, UseAge: true, Pred: PredLinear},
+	}
+}
+
+// evictionWorkload is ANL at a quarter of its trace size (about 2000
+// jobs): enough for the 129-point global rings to wrap over a dozen times.
+func evictionWorkload(t *testing.T) *workload.Workload {
 	t.Helper()
-	ts := DefaultTemplates(w.Chars, w.HasMaxRT)
+	w, err := workload.Study("ANL", 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestEvictionStreamMatchesFlatRing pins the eviction path at the
+// predictor level: the prediction stream over wrapping rings hashes to the
+// digest the flat-ring store produced, on a memory-only store and on a
+// durable store that is crashed and recovered mid-stream.
+func TestEvictionStreamMatchesFlatRing(t *testing.T) {
+	w := evictionWorkload(t)
+	ts := evictionTemplates()
+	for _, tc := range []struct {
+		name  string
+		preds []Prediction
+	}{
+		{"memory", mustPredictAll(t, New(ts), w)},
+		{"durable", durableRecoveredStream(t, ts, w)},
+	} {
+		if got := predictionDigest(tc.preds); got != evictionDigest {
+			t.Errorf("%s: prediction stream digest %#016x, flat ring recorded %#016x", tc.name, got, uint64(evictionDigest))
+		}
+	}
+}
+
+// durableRecoveredStream is mustPredictAll over w with templates ts
+// through a durable store that is snapshotted at the half, crashed (no
+// Close, no final snapshot) at three quarters, and recovered from
+// snapshot plus WAL tail into a fresh predictor for the rest.
+func durableRecoveredStream(t *testing.T, ts []Template, w *workload.Workload) []Prediction {
+	t.Helper()
 	dir := t.TempDir()
 	st, err := histstore.Open(dir)
 	if err != nil {

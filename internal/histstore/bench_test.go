@@ -37,6 +37,32 @@ func BenchmarkStoreInsert(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreInsertFullRing measures steady-state inserts into rings at
+// the largest default history bound: 16 categories pre-filled to 16384
+// points, so every timed insert evicts — the write path of a long-running
+// daemon, where each copy-on-write successor copies what holds the head
+// slot.
+func BenchmarkStoreInsertFullRing(b *testing.B) {
+	const bound = 16384
+	s := New()
+	keys := benchKeys(16)
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range keys {
+		for i := 0; i < bound; i++ {
+			if err := s.Insert(k, bound, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Insert(keys[i%len(keys)], bound, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStoreInsertPredict interleaves writers and readers 1:4 — the
 // production mix, where every submission triggers a fan-out of category
 // reads while completions stream in.

@@ -65,6 +65,13 @@ func (p Point) Validate() error {
 	return nil
 }
 
+// chunkSize is the number of points in every full chunk of a category
+// ring. An eviction copies one chunk plus the spine of chunk pointers, so
+// the constant trades the chunk copy (chunkSize points) against the spine
+// copy (maxHistory/chunkSize pointers): at 128, a full 16384-point ring
+// costs a 3 KiB chunk and a 1 KiB spine per insert.
+const chunkSize = 128
+
 // Category is the bounded history of one (template, value-combination)
 // pair: a ring buffer of the most recent points plus running Welford
 // moments over the current contents, for absolute run times and for
@@ -72,15 +79,23 @@ func (p Point) Validate() error {
 // materialized) on every mutation, so the predict path reads them with two
 // plain loads instead of re-deriving them per request.
 //
+// The ring's slots are stored in chunks: slot i lives in full[i/chunkSize]
+// while that chunk exists, and the slots past the full chunks live in
+// tail, which grows like an append-built slice up to chunkSize points
+// (so a category with a few points pays for a few points, not a chunk).
+// Full chunks and the spine that holds them are shared between successive
+// snapshots and copied only when an eviction rewrites one of their slots.
+//
 // A Category is not internally synchronized. Insert mutates one in place,
 // which is only safe before it is shared; the Store treats every
 // published category as immutable and mutates through cowInsert, which
 // returns a successor snapshot — that is what makes the store's read path
 // lock-free.
 type Category struct {
-	maxHistory int // 0 = unlimited
-	points     []Point
-	head       int // ring start when bounded and full
+	maxHistory int                 // 0 = unlimited
+	full       []*[chunkSize]Point // slots [0, len(full)*chunkSize)
+	tail       []Point             // the slots after them, at most chunkSize
+	head       int                 // ring start when bounded and full
 
 	abs stats.Moments // moments of Point.RunTime
 	rat stats.Moments // moments of Point.Ratio (NaN-skipping)
@@ -105,7 +120,35 @@ func NewCategory(maxHistory int) *Category {
 func (c *Category) MaxHistory() int { return c.maxHistory }
 
 // Size returns the number of points currently stored.
-func (c *Category) Size() int { return len(c.points) }
+func (c *Category) Size() int { return len(c.full)*chunkSize + len(c.tail) }
+
+// isFull reports whether the ring is bounded and at its bound, so the next
+// insert evicts the point in the head slot.
+func (c *Category) isFull() bool {
+	return c.maxHistory > 0 && c.Size() == c.maxHistory
+}
+
+// slot returns the storage for ring slot i (0 <= i < Size()).
+func (c *Category) slot(i int) *Point {
+	if k := i / chunkSize; k < len(c.full) {
+		return &c.full[k][i%chunkSize]
+	}
+	return &c.tail[i-len(c.full)*chunkSize]
+}
+
+// push appends p at slot Size() of a ring that is not full. The write
+// lands past the length every earlier snapshot sharing this storage was
+// published with: a full tail moves onto the spine (as a chunk pointer at
+// index len(full)) and a fresh chunk-sized tail starts, otherwise p is
+// appended to the tail, which grows like any append-built slice while it
+// is the first chunk.
+func (c *Category) push(p Point) {
+	if len(c.tail) == chunkSize {
+		c.full = append(c.full, (*[chunkSize]Point)(c.tail))
+		c.tail = make([]Point, 0, chunkSize)
+	}
+	c.tail = append(c.tail, p)
+}
 
 // Abs returns the running moments of the absolute run times.
 func (c *Category) Abs() *stats.Moments { return &c.abs }
@@ -139,18 +182,23 @@ func (c *Category) finalize() {
 // incrementally: the evicted point is removed before the new one is added,
 // so they always describe exactly the ring's current contents.
 func (c *Category) Insert(p Point) {
-	if c.maxHistory > 0 && len(c.points) == c.maxHistory {
-		old := c.points[c.head]
-		c.abs.Remove(old.RunTime)
-		c.rat.Remove(old.Ratio)
-		c.points[c.head] = p
-		c.head = (c.head + 1) % c.maxHistory
+	if c.isFull() {
+		c.evict(c.slot(c.head), p)
 	} else {
-		c.points = append(c.points, p)
+		c.push(p)
 	}
 	c.abs.Add(p.RunTime)
 	c.rat.Add(p.Ratio)
 	c.finalize()
+}
+
+// evict replaces the oldest point, stored at s (the head slot), with p and
+// advances the head, removing the old point from the moments first.
+func (c *Category) evict(s *Point, p Point) {
+	c.abs.Remove(s.RunTime)
+	c.rat.Remove(s.Ratio)
+	*s = p
+	c.head = (c.head + 1) % c.maxHistory
 }
 
 // cowInsert returns a successor snapshot with p inserted, leaving c
@@ -158,27 +206,32 @@ func (c *Category) Insert(p Point) {
 // Insert's (the moments are copied by value and stepped identically), so a
 // chain of cowInserts is bit-for-bit a chain of Inserts.
 //
-// While the ring is still filling, the clone appends to the shared backing
-// array instead of copying: the new element lands at index len(c.points),
-// which is past the length of every previously published snapshot, so no
-// reader can observe the write. Only the writer (serialized by the shard
-// mutex) extends the array, always from the newest snapshot, so two clones
+// While the ring is still filling, the successor shares c's spine and tail
+// and pushes past their published lengths, which no reader of an earlier
+// snapshot can observe. Only the writer (serialized by the shard mutex)
+// extends the storage, always from the newest snapshot, so two successors
 // never contend for the same slot. Once the bounded ring is full, eviction
-// must overwrite a slot readers can see, and the clone degrades to a full
-// O(maxHistory) copy — the price of keeping readers lock-free, paid by the
-// rare writes instead of the dominant reads.
+// must overwrite a slot readers can see, so the successor copies what
+// holds that slot: the spine and the one full chunk, or the tail. That is
+// O(chunkSize + maxHistory/chunkSize) per insert — at most three
+// allocations counting the successor itself — and every other chunk stays
+// shared.
 func (c *Category) cowInsert(p Point) *Category {
-	nc := &Category{maxHistory: c.maxHistory, head: c.head, abs: c.abs, rat: c.rat}
-	if c.maxHistory > 0 && len(c.points) == c.maxHistory {
-		nc.points = make([]Point, c.maxHistory)
-		copy(nc.points, c.points)
-		old := nc.points[nc.head]
-		nc.abs.Remove(old.RunTime)
-		nc.rat.Remove(old.Ratio)
-		nc.points[nc.head] = p
-		nc.head = (nc.head + 1) % nc.maxHistory
+	nc := &Category{maxHistory: c.maxHistory, full: c.full, tail: c.tail,
+		head: c.head, abs: c.abs, rat: c.rat}
+	if !c.isFull() {
+		nc.push(p)
 	} else {
-		nc.points = append(c.points, p)
+		if k := c.head / chunkSize; k < len(c.full) {
+			nc.full = make([]*[chunkSize]Point, len(c.full))
+			copy(nc.full, c.full)
+			chunk := *c.full[k]
+			nc.full[k] = &chunk
+		} else {
+			nc.tail = make([]Point, len(c.tail))
+			copy(nc.tail, c.tail)
+		}
+		nc.evict(nc.slot(nc.head), p)
 	}
 	nc.abs.Add(p.RunTime)
 	nc.rat.Add(p.Ratio)
@@ -186,9 +239,19 @@ func (c *Category) cowInsert(p Point) *Category {
 	return nc
 }
 
-// ForEach visits every stored point (order unspecified).
+// ForEach visits every stored point in slot (storage) order: slot 0 to
+// Size()-1, which is not chronological once a bounded ring has wrapped.
+// The order is part of the contract: callers that fold floating-point sums
+// over the points (core's age-conditioned mean and regressions) get
+// bit-identical results only because every storage layout, and a category
+// restored from a snapshot, visits the same slots in the same order.
 func (c *Category) ForEach(f func(Point)) {
-	for _, p := range c.points {
+	for _, chunk := range c.full {
+		for i := range chunk {
+			f(chunk[i])
+		}
+	}
+	for _, p := range c.tail {
 		f(p)
 	}
 }
@@ -207,12 +270,15 @@ type persistState struct {
 	Abs, Rat   stats.Moments
 }
 
-// state captures the category's durable state. The points slice is a copy.
+// state captures the category's durable state, its ring flattened into
+// one slice in slot order.
 func (c *Category) state() persistState {
+	points := make([]Point, 0, c.Size())
+	c.ForEach(func(p Point) { points = append(points, p) })
 	return persistState{
 		MaxHistory: c.maxHistory,
 		Head:       c.head,
-		Points:     append([]Point(nil), c.points...),
+		Points:     points,
 		Abs:        c.abs,
 		Rat:        c.rat,
 	}
@@ -234,13 +300,19 @@ func restoreCategory(ps persistState) (*Category, error) {
 		return nil, fmt.Errorf("histstore: ring head %d out of range for history %d",
 			ps.Head, ps.MaxHistory)
 	}
+	if ps.Head != 0 && len(ps.Points) != ps.MaxHistory {
+		// A live ring moves its head only once it is full; a head on a
+		// filling ring would make the next evictions skip the oldest point.
+		return nil, fmt.Errorf("histstore: ring head %d on a ring holding %d of %d points",
+			ps.Head, len(ps.Points), ps.MaxHistory)
+	}
+	c := NewCategory(ps.MaxHistory)
 	for _, p := range ps.Points {
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("histstore: invalid point %+v: %w", p, err)
 		}
+		c.push(p)
 	}
-	c := NewCategory(ps.MaxHistory)
-	c.points = append(c.points, ps.Points...)
 	c.head = ps.Head
 	c.abs = ps.Abs
 	c.rat = ps.Rat

@@ -265,6 +265,10 @@ func TestRestoreCategoryValidation(t *testing.T) {
 		Points: []Point{{RunTime: 1, Nodes: 1, Ratio: math.NaN()}}}); err == nil {
 		t.Error("out-of-range head accepted")
 	}
+	if _, err := restoreCategory(persistState{MaxHistory: 4, Head: 1,
+		Points: []Point{pt(1, 0, 1), pt(2, 0, 1)}}); err == nil {
+		t.Error("ring head on a ring that is not full accepted")
+	}
 	live := NewCategory(2)
 	for _, p := range []Point{pt(10, 0, 1), pt(20, 40, 2), pt(30, 60, 1)} {
 		live.Insert(p)
