@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vuln test race cover bench tables examples clean fmt-check bench-smoke bench-gate fuzz-smoke trace-smoke admit-smoke reselect-smoke trace-demo ci
+.PHONY: all build vet lint vuln test race cover bench tables examples clean fmt-check bench-smoke bench-gate fuzz-smoke trace-demo ci
 
 all: build vet lint test
 
@@ -16,11 +16,9 @@ vet:
 # float comparisons, dropped errors, observability naming, lock/ctx/
 # atomic/taint flow, unbounded growth. See CONTRIBUTING.md for the
 # invariant list, the taint/bounded annotation grammars, and //lint:allow
-# usage. The fact cache makes an unchanged re-run finish in tens of
-# milliseconds; it lives in .repolint-cache (gitignored) and is safe to
-# delete at any time.
+# usage.
 lint:
-	$(GO) run ./cmd/repolint -cache .repolint-cache ./...
+	$(GO) run ./cmd/repolint ./...
 
 # govulncheck is not vendored; run it when the tool is on PATH (CI installs
 # it), skip quietly otherwise so offline development keeps working.
@@ -76,8 +74,8 @@ bench-smoke:
 # Run the gated benchmark suite (predict hot path, reader-scaling sweep,
 # history store) and compare against the committed BENCH_*.json baseline —
 # the exact pipeline the CI bench-gate job runs. Override the baseline
-# with BENCH_BASELINE=...; iteration/sample counts come from the script's
-# BENCHTIME_* / BENCHCOUNT environment knobs (see scripts/bench_gate.sh).
+# with BENCH_BASELINE=...; iteration and sample counts are fixed in
+# scripts/bench_gate.sh so every run measures the same work.
 BENCH_BASELINE ?= BENCH_0015.json
 bench-gate:
 	sh scripts/bench_gate.sh $(BENCH_BASELINE)
@@ -86,24 +84,6 @@ bench-gate:
 # in input validation, short enough for a pre-push check.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadSWF -fuzztime=10s ./internal/workload
-
-# Boot qwaitd with tracing, drive observe/predict traffic, and assert the
-# /v1/traces and /v1/accuracy endpoints are well-formed (the CI step).
-trace-smoke:
-	sh scripts/trace_smoke.sh
-
-# Boot qwaitd with predictive SLO admission, drive /v1/admit with admit
-# and shed scenarios, and assert the metrics and trace surface (the CI
-# admit-smoke step).
-admit-smoke:
-	sh scripts/admit_smoke.sh
-
-# Boot qwaitd with -reselect, inject a run-time step through /v1/observe,
-# and assert the /v1/stable scoreboard, the switch to the scoreboard
-# winner, and the accuracy.reselect.* metric and span surface (the CI
-# reselect-smoke step).
-reselect-smoke:
-	sh scripts/reselect_smoke.sh
 
 # Trace one prediction end to end and pretty-print its span tree.
 trace-demo:

@@ -280,68 +280,6 @@ func TestMetricsFieldsFlattening(t *testing.T) {
 	}
 }
 
-// observeJob posts one completed job to a test server.
-func observeJob(t *testing.T, url string, id int, user string, runTime int64) {
-	t.Helper()
-	body, err := json.Marshal(map[string]interface{}{
-		"job": map[string]interface{}{
-			"id": id, "user": user, "nodes": 4,
-			"runTime": runTime, "maxRunTime": runTime * 2,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/observe", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("observe status %d", resp.StatusCode)
-	}
-}
-
-// TestBuildWithDataRecovers drives the durable path end to end: observe
-// through the HTTP surface into a -data store, abandon the daemon without
-// any snapshot (simulated kill — the WAL alone carries the history), then
-// rebuild on the same directory and expect identical categories.
-func TestBuildWithDataRecovers(t *testing.T) {
-	dir := t.TempDir()
-	var sb strings.Builder
-	a, err := build([]string{"-data", dir}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.store == nil {
-		t.Fatal("no store attached with -data")
-	}
-	ts := httptest.NewServer(a.srv.Handler())
-	for i := 0; i < 30; i++ {
-		observeJob(t, ts.URL, i, "alice", int64(600+i))
-	}
-	ts.Close()
-	wantCats := a.store.Categories()
-	if wantCats == 0 {
-		t.Fatal("observations produced no categories")
-	}
-	// No Snapshot, no Close: recovery must come from the WAL.
-	sb.Reset()
-	a2, err := build([]string{"-data", dir}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2.store.Categories() != wantCats {
-		t.Fatalf("recovered %d categories, want %d", a2.store.Categories(), wantCats)
-	}
-	if !strings.Contains(sb.String(), "recovered") {
-		t.Fatalf("output:\n%s", sb.String())
-	}
-	if err := a2.store.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBuildWarmSkippedOnWarmStore: -warm must not double-train a store
 // that already carries recovered history.
 func TestBuildWarmSkippedOnWarmStore(t *testing.T) {

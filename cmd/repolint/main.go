@@ -8,7 +8,7 @@
 // Usage:
 //
 //	repolint [-checks detrand,wallclock,...] [-format text|json|sarif]
-//	         [-cache dir] [-strict] [-require sym]... [packages]
+//	         [-strict] [-require sym]... [packages]
 //
 // Packages default to ./... (the whole module). Diagnostics print as
 // file:line:col: message [check] (paths relative to the working directory
@@ -18,14 +18,11 @@
 // reported, and 2 on usage, load, or type-check errors — CI can therefore
 // distinguish "the tree has findings" from "the tool could not run".
 //
-// -cache dir enables the incremental fact cache: results are keyed by
-// content hashes of everything they can depend on, so a warm run with no
-// source changes loads nothing and finishes in tens of milliseconds
-// (cache traffic is reported on stderr for CI to assert on). -strict
-// widens conservative analyzers — goleak reports goroutine spawns it
-// cannot resolve instead of staying silent. -require (repeatable) names
-// entry points that must declare a // hotpath: contract; the benchmark
-// gate uses it in place of grepping for annotations.
+// -strict widens conservative analyzers — goleak reports goroutine
+// spawns it cannot resolve instead of staying silent. -require
+// (repeatable) names entry points that must declare a // hotpath:
+// contract; the benchmark gate uses it in place of grepping for
+// annotations.
 // Suppress an individual finding with a justified directive:
 //
 //	//lint:allow wallclock measures real request latency
@@ -41,7 +38,6 @@ import (
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/cache"
 )
 
 // stringList is a repeatable string flag.
@@ -68,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	list := fs.Bool("list", false, "list the available checks and exit")
 	dir := fs.String("C", "", "run as if started in this directory (module root autodetected from it)")
 	format := fs.String("format", "text", "output format: text (file:line:col), json, or sarif")
-	cacheDir := fs.String("cache", "", "fact-cache directory (empty disables caching)")
 	helpBase := fs.String("help-base", "CONTRIBUTING.md", "base URI for SARIF rule helpUri links into the check catalog")
 	strict := fs.Bool("strict", false, "report conservatively-silenced findings (unresolvable goroutine spawns)")
 	var require stringList
@@ -102,14 +97,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	opts := lint.Options{Strict: *strict}
-	if *cacheDir != "" {
-		opts.Cache, err = cache.Open(*cacheDir)
-		if err != nil {
-			return 2, err
-		}
-	}
-	diags, stats, err := lint.RunWith(loader, analyzers, paths, opts)
+	diags, err := lint.RunWith(loader, analyzers, paths, lint.Options{Strict: *strict})
 	if err != nil {
 		return 2, err
 	}
@@ -119,9 +107,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 			return 2, err
 		}
 		diags = append(diags, reqDiags...)
-	}
-	if opts.Cache != nil {
-		fmt.Fprintf(stderr, "repolint: cache %d hit(s), %d miss(es)\n", stats.Hits, stats.Misses)
 	}
 	relativize(diags)
 	switch *format {

@@ -91,11 +91,11 @@ func BenchmarkStoreInsertPredict(b *testing.B) {
 				}
 				continue
 			}
-			s.View(keys[i], func(c *Category) {
+			if c, _, ok := s.Get(keys[i]); ok {
 				mean, v := c.Abs().MeanVar()
 				_ = mean
 				_ = v
-			})
+			}
 		}
 	})
 }

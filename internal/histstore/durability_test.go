@@ -43,27 +43,26 @@ func mustEqualStores(t *testing.T, want, got *Store) {
 			want.Categories(), got.Categories(), want.Points(), got.Points())
 	}
 	want.ForEach(func(key string, wc *Category) {
-		ok := got.View([]byte(key), func(gc *Category) {
-			ws, gs := wc.state(), gc.state()
-			if ws.MaxHistory != gs.MaxHistory || ws.Head != gs.Head || len(ws.Points) != len(gs.Points) {
-				t.Fatalf("key %s: ring mismatch %+v vs %+v", key, ws, gs)
-			}
-			for i := range ws.Points {
-				if !samePoint(ws.Points[i], gs.Points[i]) {
-					t.Fatalf("key %s point %d: %+v vs %+v", key, i, ws.Points[i], gs.Points[i])
-				}
-			}
-			if ws.Abs != gs.Abs {
-				t.Fatalf("key %s: abs moments %+v vs %+v", key, ws.Abs, gs.Abs)
-			}
-			if ws.Rat.N != gs.Rat.N ||
-				math.Float64bits(ws.Rat.Mean) != math.Float64bits(gs.Rat.Mean) ||
-				math.Float64bits(ws.Rat.M2) != math.Float64bits(gs.Rat.M2) {
-				t.Fatalf("key %s: rat moments %+v vs %+v", key, ws.Rat, gs.Rat)
-			}
-		})
+		gc, _, ok := got.Get([]byte(key))
 		if !ok {
 			t.Fatalf("key %s missing after recovery", key)
+		}
+		ws, gs := wc.state(), gc.state()
+		if ws.MaxHistory != gs.MaxHistory || ws.Head != gs.Head || len(ws.Points) != len(gs.Points) {
+			t.Fatalf("key %s: ring mismatch %+v vs %+v", key, ws, gs)
+		}
+		for i := range ws.Points {
+			if !samePoint(ws.Points[i], gs.Points[i]) {
+				t.Fatalf("key %s point %d: %+v vs %+v", key, i, ws.Points[i], gs.Points[i])
+			}
+		}
+		if ws.Abs != gs.Abs {
+			t.Fatalf("key %s: abs moments %+v vs %+v", key, ws.Abs, gs.Abs)
+		}
+		if ws.Rat.N != gs.Rat.N ||
+			math.Float64bits(ws.Rat.Mean) != math.Float64bits(gs.Rat.Mean) ||
+			math.Float64bits(ws.Rat.M2) != math.Float64bits(gs.Rat.M2) {
+			t.Fatalf("key %s: rat moments %+v vs %+v", key, ws.Rat, gs.Rat)
 		}
 	})
 }

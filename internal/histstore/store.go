@@ -77,7 +77,7 @@ type catHandle struct {
 func (sh *shard) loadView() *shardView { return sh.view.Load() }
 
 // Store is the concurrency-safe category-statistics store. Reads
-// (Get/View/Categories) are lock-free: they follow per-shard copy-on-write
+// (Get/Categories) are lock-free: they follow per-shard copy-on-write
 // snapshots and can run in parallel with any number of writers. Inserts
 // take one shard's writer mutex. A store opened with Open additionally
 // journals every insert to a write-ahead log and can persist snapshots;
@@ -412,31 +412,6 @@ func (s *Store) get(key []byte) (*Category, string, bool) {
 		return nil, "", false
 	}
 	return h.cur.Load(), h.key, true
-}
-
-// View runs f on the current snapshot of the category stored under key and
-// reports whether the key exists. Reads are lock-free; f must not mutate
-// the snapshot (retaining it is safe — it is immutable). Kept alongside
-// Get for callers structured around a visitor.
-//
-// hotpath: no-lock no-alloc no-clock
-func (s *Store) View(key []byte, f func(*Category)) bool {
-	c, _, ok := s.Get(key)
-	if ok {
-		f(c)
-	}
-	return ok
-}
-
-// ViewCtx is View with the lookup recorded as a child span of the trace
-// active in ctx ("histstore.view", category and hit attributes). Without
-// an active trace it is exactly View.
-func (s *Store) ViewCtx(ctx context.Context, key []byte, f func(*Category)) bool {
-	c, _, ok := s.GetCtx(ctx, key)
-	if ok {
-		f(c)
-	}
-	return ok
 }
 
 // Put installs a fully built category under key, replacing any existing

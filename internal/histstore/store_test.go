@@ -18,7 +18,7 @@ func pt(rt, maxRT, nodes float64) Point {
 	return Point{RunTime: rt, Ratio: ratio, Nodes: nodes}
 }
 
-func TestStoreInsertAndView(t *testing.T) {
+func TestStoreInsertAndGet(t *testing.T) {
 	s := New()
 	if err := s.Insert([]byte("k1"), 0, pt(100, 200, 4)); err != nil {
 		t.Fatal(err)
@@ -32,26 +32,20 @@ func TestStoreInsertAndView(t *testing.T) {
 	if s.Categories() != 2 || s.Points() != 3 {
 		t.Fatalf("categories=%d points=%d, want 2/3", s.Categories(), s.Points())
 	}
-	var mean float64
-	var n int
-	if !s.View([]byte("k1"), func(c *Category) {
-		mean, _ = c.Abs().MeanVar()
-		n = c.Size()
-	}) {
+	c, _, ok := s.Get([]byte("k1"))
+	if !ok {
 		t.Fatal("k1 missing")
 	}
-	if n != 2 || mean != 110 {
-		t.Fatalf("k1: n=%d mean=%v, want 2/110", n, mean)
+	if mean, _ := c.Abs().MeanVar(); c.Size() != 2 || mean != 110 {
+		t.Fatalf("k1: n=%d mean=%v, want 2/110", c.Size(), mean)
 	}
-	if s.View([]byte("nope"), func(*Category) { t.Fatal("callback on missing key") }) {
+	if _, _, ok := s.Get([]byte("nope")); ok {
 		t.Fatal("missing key reported present")
 	}
 	// Ratio moments only count points that carried a maximum.
-	s.View([]byte("k1"), func(c *Category) {
-		if c.Rat().N != 1 {
-			t.Fatalf("ratio n = %d, want 1", c.Rat().N)
-		}
-	})
+	if c.Rat().N != 1 {
+		t.Fatalf("ratio n = %d, want 1", c.Rat().N)
+	}
 }
 
 // TestStoreGetByteKey checks the read-side contract: a rendered byte key
@@ -97,12 +91,10 @@ func TestStoreBoundedEviction(t *testing.T) {
 	if s.Points() != 4 {
 		t.Fatalf("points = %d, want history bound 4", s.Points())
 	}
-	s.View([]byte("k"), func(c *Category) {
-		mean, v := c.Abs().MeanVar()
-		if mean != 500 || v != 0 {
-			t.Fatalf("post-eviction moments = (%v, %v), want (500, 0)", mean, v)
-		}
-	})
+	c, _, _ := s.Get([]byte("k"))
+	if mean, v := c.Abs().MeanVar(); mean != 500 || v != 0 {
+		t.Fatalf("post-eviction moments = (%v, %v), want (500, 0)", mean, v)
+	}
 }
 
 // TestCategoryMomentsMatchRecompute hammers a bounded category and checks
@@ -213,12 +205,12 @@ func TestStoreConcurrentInsertPredict(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			for i := 0; i < inserts; i++ {
 				k := fmt.Sprintf("cat-%d", rng.Intn(keys))
-				s.View([]byte(k), func(c *Category) {
+				if c, _, ok := s.Get([]byte(k)); ok {
 					mean, _ := c.Abs().MeanVar()
 					if c.Size() > 0 && (math.IsNaN(mean) || mean <= 0) {
 						t.Errorf("key %s: mean %v with %d points", k, mean, c.Size())
 					}
-				})
+				}
 			}
 		}(r)
 	}

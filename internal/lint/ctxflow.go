@@ -9,7 +9,7 @@ import (
 )
 
 // CtxFlow enforces trace-context propagation. The tracing layer threads a
-// context.Context through the request path (PredictDetailedCtx → ViewCtx
+// context.Context through the request path (PredictDetailedCtx → GetCtx
 // → wal_append spans); a single call to the ctx-less variant of an API
 // silently severs the span tree below it, and nothing fails — the trace
 // is just mysteriously shallow. So, inside any function that has a
@@ -39,8 +39,7 @@ var CtxFlow = &Analyzer{
 		"that has one — directly or through ctx-less helpers (resolved " +
 		"via the call graph) — passing its own ctx rather than " +
 		"context.Background()/TODO(), so trace span trees stay connected.",
-	Scope: ScopeModule,
-	Run:   runCtxFlow,
+	Run: runCtxFlow,
 }
 
 // ctxDrop is a transitive context-severing path: chain leads from the

@@ -30,7 +30,6 @@ var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc: "goroutines started in daemon packages (service, histstore, qwaitd) " +
 		"must have a termination path (ctx.Done(), a closed channel, or a WaitGroup)",
-	Scope:     ScopeModule,
 	AppliesTo: isDaemonPkg,
 	Run:       runGoLeak,
 }

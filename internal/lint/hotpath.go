@@ -53,8 +53,7 @@ var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc: "functions declaring a // hotpath: contract must not reach locks, " +
 		"allocations, clock reads, or blocked channels on any call path",
-	Scope: ScopeModule,
-	Run:   runHotPath,
+	Run: runHotPath,
 }
 
 // hotpathPrefix introduces both annotation forms.

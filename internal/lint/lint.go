@@ -31,24 +31,6 @@ import (
 	"repro/internal/lint/taint"
 )
 
-// Scope describes how far an analyzer's findings for one package can
-// depend on source outside that package. It is what makes the fact
-// cache sound: a cache entry's key must hash everything the findings
-// could have read.
-type Scope int
-
-const (
-	// ScopePackage findings depend only on the analyzed package and its
-	// transitive imports. Cache entries are keyed by the import-closure
-	// content hash.
-	ScopePackage Scope = iota
-	// ScopeModule findings can depend on any package in the module — the
-	// analyzer walks the module-wide call graph (whose implements sets
-	// span every loaded package) or otherwise reads beyond the import
-	// closure. Cache entries are keyed by the whole-module content hash.
-	ScopeModule
-)
-
 // Analyzer is one named check. Run inspects a single type-checked package
 // through the Pass and reports findings.
 type Analyzer struct {
@@ -57,10 +39,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description: what the check enforces and why.
 	Doc string
-	// Scope declares what source the findings can depend on (see Scope);
-	// the fact cache keys entries by it. The zero value, ScopePackage, is
-	// correct for purely local analyzers.
-	Scope Scope
 	// AppliesTo, when non-nil, restricts the analyzer to packages whose
 	// import path it accepts. A nil AppliesTo means every package.
 	AppliesTo func(pkgPath string) bool

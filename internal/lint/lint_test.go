@@ -37,11 +37,11 @@ func TestHotPathConversionFixture(t *testing.T) { linttest.Run(t, lint.HotPath, 
 // every spawn whose termination path the graph cannot verify, and the
 // resolvable spawn stays quiet in both.
 func TestGoLeakStrictFixture(t *testing.T) {
-	lenient, _ := linttest.RunRawWith(t, []*lint.Analyzer{lint.GoLeak}, "goleak/strict/service", lint.Options{})
+	lenient := linttest.RunRawWith(t, []*lint.Analyzer{lint.GoLeak}, "goleak/strict/service", lint.Options{})
 	if len(lenient) != 0 {
 		t.Fatalf("lenient mode reported %d findings, want 0:\n%v", len(lenient), lenient)
 	}
-	strict, _ := linttest.RunRawWith(t, []*lint.Analyzer{lint.GoLeak}, "goleak/strict/service", lint.Options{Strict: true})
+	strict := linttest.RunRawWith(t, []*lint.Analyzer{lint.GoLeak}, "goleak/strict/service", lint.Options{Strict: true})
 	if len(strict) != 2 {
 		t.Fatalf("strict mode reported %d findings, want 2:\n%v", len(strict), strict)
 	}

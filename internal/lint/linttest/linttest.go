@@ -24,7 +24,6 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/cache"
 )
 
 // Run loads the fixture package at pkgPath (relative to
@@ -90,17 +89,15 @@ func RunRaw(t *testing.T, analyzers []*lint.Analyzer, pkgPath string) []lint.Dia
 	return diags
 }
 
-// RunRawWith is RunRaw with explicit runner options (strict mode, fact
-// cache). It also returns the run's cache statistics so cache tests can
-// assert hit and miss counts.
-func RunRawWith(t *testing.T, analyzers []*lint.Analyzer, pkgPath string, opts lint.Options) ([]lint.Diagnostic, cache.Stats) {
+// RunRawWith is RunRaw with explicit runner options (strict mode).
+func RunRawWith(t *testing.T, analyzers []*lint.Analyzer, pkgPath string, opts lint.Options) []lint.Diagnostic {
 	t.Helper()
 	loader := fixtureLoader(t)
-	diags, stats, err := lint.RunWith(loader, analyzers, []string{pkgPath}, opts)
+	diags, err := lint.RunWith(loader, analyzers, []string{pkgPath}, opts)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgPath, err)
 	}
-	return diags, stats
+	return diags
 }
 
 // fixtureLoader builds a loader rooted at the module with

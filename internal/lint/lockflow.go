@@ -51,8 +51,7 @@ var LockFlow = &Analyzer{
 		"outside their guard's critical section, and atomic " +
 		"Store/Swap/CompareAndSwap on '// swapped under <field>' " +
 		"annotated fields without the sibling mutex write-held.",
-	Scope: ScopeModule,
-	Run:   runLockFlow,
+	Run: runLockFlow,
 }
 
 // lockOp classifies one method of sync.Mutex/RWMutex.

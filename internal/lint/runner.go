@@ -5,8 +5,6 @@ import (
 	"go/token"
 	"os"
 	"strings"
-
-	"repro/internal/lint/cache"
 )
 
 // directive is one parsed //lint:allow comment.
@@ -93,18 +91,13 @@ func collectDirectives(fset *token.FileSet, pkg *Package) []directive {
 type Options struct {
 	// Strict widens conservative analyzers (see Pass.Strict).
 	Strict bool
-	// Cache, when non-nil, serves (package, analyzer-group) results whose
-	// content-hash keys still match and stores fresh results for the next
-	// run. A fully warm run loads and type-checks nothing.
-	Cache *cache.Cache
 }
 
 // Run executes the analyzers over the packages, applies //lint:allow
 // suppression, and reports malformed directives. Diagnostics come back
 // sorted by position. It is RunWith with default options.
 func Run(loader *Loader, analyzers []*Analyzer, paths []string) ([]Diagnostic, error) {
-	diags, _, err := RunWith(loader, analyzers, paths, Options{})
-	return diags, err
+	return RunWith(loader, analyzers, paths, Options{})
 }
 
 // RunWith executes the analyzers over the packages with explicit options,
@@ -118,100 +111,19 @@ func Run(loader *Loader, analyzers []*Analyzer, paths []string) ([]Diagnostic, e
 // directives of every other package the loader has seen source for are
 // indexed too (without validation — malformed directives are reported
 // only when their own package is analyzed, so they surface exactly once).
-//
-// With a cache, results are stored per analyzed package in two groups by
-// analyzer Scope — post-suppression, which is sound because package-scope
-// findings and the directives that can suppress them live in the package's
-// own files (covered by the import-closure hash) and module-scope entries
-// are keyed by the whole-module hash. The package-scope entry also carries
-// the package's directive hygiene findings. Because every module-scope key
-// folds the same module hash, module-scope entries hit or miss together;
-// on a module-scope miss the run degrades to exactly the cacheless
-// behavior (everything loads), never to a partial call graph.
-func RunWith(loader *Loader, analyzers []*Analyzer, paths []string, opts Options) ([]Diagnostic, cache.Stats, error) {
+func RunWith(loader *Loader, analyzers []*Analyzer, paths []string, opts Options) ([]Diagnostic, error) {
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	var pkgScope, modScope []*Analyzer
-	for _, a := range analyzers {
-		if a.Scope == ScopeModule {
-			modScope = append(modScope, a)
-		} else {
-			pkgScope = append(pkgScope, a)
-		}
-	}
-
-	// Cache probe: compute both keys per path and look them up. Key
-	// computation parses imports only — no type-checking — so a fully
-	// warm run never loads a package.
-	var stats cache.Stats
-	probes := make(map[string]*cacheProbe, len(paths))
-	modAllHit := len(modScope) == 0
-	if opts.Cache != nil {
-		k := newKeyer(loader, opts.Strict)
-		modAllHit = true
-		for _, path := range paths {
-			p := &cacheProbe{}
-			probes[path] = p
-			p.pkgKey = k.packageKey(path, pkgScope)
-			p.modKey = k.moduleKey(path, modScope)
-			if p.pkgKey != "" {
-				if ds, ok := opts.Cache.Get(p.pkgKey); ok {
-					p.pkgHit, p.pkgDiag = true, fromCacheDiags(ds)
-					stats.Hits++
-				} else {
-					stats.Misses++
-				}
-			} else {
-				stats.Misses++
-			}
-			if len(modScope) == 0 {
-				p.modHit = true
-			} else if p.modKey != "" {
-				if ds, ok := opts.Cache.Get(p.modKey); ok {
-					p.modHit, p.modDiag = true, fromCacheDiags(ds)
-					stats.Hits++
-				} else {
-					stats.Misses++
-				}
-			} else {
-				stats.Misses++
-			}
-			modAllHit = modAllHit && p.modHit
-		}
-		if !modAllHit {
-			// A partial module-scope cache cannot be used: module-scope
-			// analyzers need the full analysis set loaded (the call graph's
-			// implements sets span every loaded package), so re-run the
-			// group everywhere and refresh all entries.
-			for _, p := range probes {
-				if len(modScope) > 0 && p.modHit {
-					p.modHit, p.modDiag = false, nil
-					stats.Hits--
-					stats.Misses++
-				}
-			}
-		}
-	}
 
 	graph := newCallGraph(loader)
 	eng := newTaintEngine(graph)
-	var diags []Diagnostic // cached + directive findings, reported unconditionally
-	perPath := make(map[string]*struct{ pkgRaw, modRaw, dirDiag []Diagnostic })
+	var raw, diags []Diagnostic // raw awaits suppression; diags are directive findings
 
 	// suppressed[file][line][check]: a trailing directive covers its own
 	// line; a standalone directive covers the line below it.
 	suppressed := make(map[string]map[int]map[string]bool)
-	mark := func(file string, line int, check string) {
-		if suppressed[file] == nil {
-			suppressed[file] = make(map[int]map[string]bool)
-		}
-		if suppressed[file][line] == nil {
-			suppressed[file][line] = make(map[string]bool)
-		}
-		suppressed[file][line][check] = true
-	}
 	index := func(d directive) {
 		for _, check := range d.checks {
 			if !known[check] {
@@ -221,77 +133,55 @@ func RunWith(loader *Loader, analyzers []*Analyzer, paths []string, opts Options
 			if d.standalone {
 				line++
 			}
-			mark(d.pos.Filename, line, check)
+			if suppressed[d.pos.Filename] == nil {
+				suppressed[d.pos.Filename] = make(map[int]map[string]bool)
+			}
+			if suppressed[d.pos.Filename][line] == nil {
+				suppressed[d.pos.Filename][line] = make(map[string]bool)
+			}
+			suppressed[d.pos.Filename][line][check] = true
 		}
 	}
 
 	analyzed := make(map[string]bool)
 	for _, path := range paths {
-		p := probes[path]
-		if p != nil && p.pkgHit && p.modHit {
-			// Fully served by the cache: the stored diagnostics are already
-			// post-suppression and include the directive findings.
-			diags = append(diags, p.pkgDiag...)
-			diags = append(diags, p.modDiag...)
-			continue
-		}
 		pkg, err := loader.Load(path)
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		analyzed[pkg.Path] = true
-		slot := &struct{ pkgRaw, modRaw, dirDiag []Diagnostic }{}
-		perPath[path] = slot
-		run := func(group []*Analyzer, out *[]Diagnostic) {
-			for _, a := range group {
-				if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
-					continue
-				}
-				pass := &Pass{Analyzer: a, Fset: loader.Fset, Pkg: pkg, Lookup: loader.Loaded,
-					Graph: graph, Taint: eng, Strict: opts.Strict, diags: out}
-				a.Run(pass)
+		for _, a := range analyzers {
+			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
+				continue
 			}
+			pass := &Pass{Analyzer: a, Fset: loader.Fset, Pkg: pkg, Lookup: loader.Loaded,
+				Graph: graph, Taint: eng, Strict: opts.Strict, diags: &raw}
+			a.Run(pass)
 		}
-		if p == nil || !p.pkgHit {
-			run(pkgScope, &slot.pkgRaw)
-			for _, d := range collectDirectives(loader.Fset, pkg) {
-				if len(d.checks) == 0 {
-					slot.dirDiag = append(slot.dirDiag, Diagnostic{
+		for _, d := range collectDirectives(loader.Fset, pkg) {
+			if len(d.checks) == 0 {
+				diags = append(diags, Diagnostic{
+					Check: "directive", Pos: d.pos,
+					Message: "//lint:allow needs a check name and a justification",
+				})
+				continue
+			}
+			for _, check := range d.checks {
+				if !known[check] {
+					diags = append(diags, Diagnostic{
 						Check: "directive", Pos: d.pos,
-						Message: "//lint:allow needs a check name and a justification",
+						Message: fmt.Sprintf("//lint:allow names unknown check %q", check),
 					})
 					continue
 				}
-				for _, check := range d.checks {
-					if !known[check] {
-						slot.dirDiag = append(slot.dirDiag, Diagnostic{
-							Check: "directive", Pos: d.pos,
-							Message: fmt.Sprintf("//lint:allow names unknown check %q", check),
-						})
-						continue
-					}
-					if !d.justified {
-						slot.dirDiag = append(slot.dirDiag, Diagnostic{
-							Check: "directive", Pos: d.pos,
-							Message: "//lint:allow " + check + " needs a justification after the check name",
-						})
-					}
+				if !d.justified {
+					diags = append(diags, Diagnostic{
+						Check: "directive", Pos: d.pos,
+						Message: "//lint:allow " + check + " needs a justification after the check name",
+					})
 				}
-				index(d)
 			}
-		} else {
-			// Package-scope entry hit but module-scope missed: replay the
-			// cached package-group diagnostics and still index this
-			// package's directives (module-scope findings may land here).
-			diags = append(diags, p.pkgDiag...)
-			for _, d := range collectDirectives(loader.Fset, pkg) {
-				index(d)
-			}
-		}
-		if !p.hitMod() {
-			run(modScope, &slot.modRaw)
-		} else if p != nil {
-			diags = append(diags, p.modDiag...)
+			index(d)
 		}
 	}
 	for _, pkg := range loader.AllLoaded() {
@@ -302,70 +192,11 @@ func RunWith(loader *Loader, analyzers []*Analyzer, paths []string, opts Options
 			index(d)
 		}
 	}
-	filter := func(raw []Diagnostic) []Diagnostic {
-		out := make([]Diagnostic, 0, len(raw))
-		for _, d := range raw {
-			if suppressed[d.Pos.Filename][d.Pos.Line][d.Check] {
-				continue
-			}
-			out = append(out, d)
-		}
-		return out
-	}
-	for path, slot := range perPath {
-		p := probes[path]
-		if p == nil || !p.pkgHit {
-			pkgDone := append(filter(slot.pkgRaw), slot.dirDiag...)
-			diags = append(diags, pkgDone...)
-			if p != nil && p.pkgKey != "" {
-				// Best-effort store: a failed Put costs the next run a
-				// recomputation, nothing else.
-				_ = opts.Cache.Put(p.pkgKey, toCacheDiags(pkgDone))
-			}
-		}
-		if !p.hitMod() {
-			modDone := filter(slot.modRaw)
-			diags = append(diags, modDone...)
-			if p != nil && p.modKey != "" && len(modScope) > 0 {
-				_ = opts.Cache.Put(p.modKey, toCacheDiags(modDone))
-			}
+	for _, d := range raw {
+		if !suppressed[d.Pos.Filename][d.Pos.Line][d.Check] {
+			diags = append(diags, d)
 		}
 	}
 	sortDiagnostics(diags)
-	return diags, stats, nil
-}
-
-// cacheProbe is one analyzed path's pair of cache lookups.
-type cacheProbe struct {
-	pkgKey, modKey   string
-	pkgHit, modHit   bool
-	pkgDiag, modDiag []Diagnostic
-}
-
-// hitMod reports whether the module-scope group was served by the cache;
-// a nil probe (cache disabled) never was.
-func (p *cacheProbe) hitMod() bool { return p != nil && p.modHit }
-
-// toCacheDiags and fromCacheDiags convert at the cache boundary.
-func toCacheDiags(ds []Diagnostic) []cache.Diag {
-	out := make([]cache.Diag, 0, len(ds))
-	for _, d := range ds {
-		out = append(out, cache.Diag{
-			Check: d.Check, File: d.Pos.Filename, Line: d.Pos.Line,
-			Column: d.Pos.Column, Message: d.Message,
-		})
-	}
-	return out
-}
-
-func fromCacheDiags(ds []cache.Diag) []Diagnostic {
-	out := make([]Diagnostic, 0, len(ds))
-	for _, d := range ds {
-		out = append(out, Diagnostic{
-			Check:   d.Check,
-			Pos:     token.Position{Filename: d.File, Line: d.Line, Column: d.Column},
-			Message: d.Message,
-		})
-	}
-	return out
+	return diags, nil
 }

@@ -45,8 +45,7 @@ var ValidFlow = &Analyzer{
 	Doc: "values from declared untrusted sources (HTTP decode, SWF/WAL parsing, " +
 		"flag/env grammars) must pass a declared sanitizer before reaching " +
 		"durable sinks (WAL append, category install, admission tables)",
-	Scope: ScopeModule,
-	Run:   runValidFlow,
+	Run: runValidFlow,
 }
 
 // taintPrefix introduces a catalog annotation in a doc comment.

@@ -16,7 +16,7 @@
 # documents are left in the out directory for artifact upload.
 #
 # Iteration counts are pinned per group so every timed region lasts a few
-# hundred milliseconds — long enough that the minimum over BENCHCOUNT
+# hundred milliseconds — long enough that the minimum over the five
 # samples (benchjson keeps the per-benchmark minimum, the estimate least
 # contaminated by scheduling noise) is stable on a busy machine. The
 # committed BENCH_<pr>.json baselines are generated by this same script,
@@ -41,7 +41,6 @@ if ! go run ./cmd/repolint -checks hotpath \
   -require repro/internal/core.Predictor.PredictDetailed \
   -require repro/internal/core.Predictor.PredictDetailedBatch \
   -require repro/internal/histstore.Store.Get \
-  -require repro/internal/histstore.Store.View \
   -require repro/internal/admission.Controller.Decide \
   -require repro/internal/obs/accuracy.stream.scoreSample \
   ./...
@@ -49,11 +48,6 @@ then
   echo "bench gate: the benchmark trajectory and the hotpath analyzer must cover the same entry points" >&2
   exit 1
 fi
-benchtime_hot=${BENCHTIME_HOT:-100000x}     # ~3us/op predict calls
-benchtime_batch=${BENCHTIME_BATCH:-2000x}   # ~100us/op 100-job batches
-benchtime_store=${BENCHTIME_STORE:-2000000x} # 30ns-1us/op store ops
-benchtime_acc=${BENCHTIME_ACC:-500000x}      # 400ns/op record, ~1us/op shadow pass
-count=${BENCHCOUNT:-5}
 # Every group but the reader-scaling sweep runs at GOMAXPROCS=1, so the
 # benchmark names (and their -procs suffix) are the same on every machine
 # and the baseline stays comparable across runners.
@@ -63,50 +57,51 @@ mkdir -p "$outdir"
 raw="$outdir/bench-raw.txt"
 : > "$raw"
 
-# Predict hot path trio (repo root).
+# Predict hot path trio (repo root), ~0.6-8us/op.
 go test -run '^$' \
   -bench '^BenchmarkPredictHotPath(Baseline|TracerDisabled|TracerEnabled)$' \
-  -benchtime "$benchtime_hot" -count "$count" -benchmem $single . >> "$raw"
+  -benchtime 100000x -count 5 -benchmem $single . >> "$raw"
 
-# The batch endpoint's amortized path: one op is a 100-job batch.
+# The batch endpoint's amortized path: one op is a 100-job batch (~100us).
 go test -run '^$' -bench '^BenchmarkPredictBatch$' \
-  -benchtime "$benchtime_batch" -count "$count" -benchmem $single . >> "$raw"
+  -benchtime 2000x -count 5 -benchmem $single . >> "$raw"
 
 # A wait prediction against a deep queue (clone, forward simulation) and a
 # full ANL/40 backfill simulation: the paths /v1/predictwait and the table
 # replays pay for on top of the predictor.
 go test -run '^$' -bench '^Benchmark(PredictWait|SimRun)$' \
-  -benchtime 300x -count "$count" -benchmem $single . >> "$raw"
+  -benchtime 300x -count 5 -benchmem $single . >> "$raw"
 
 # Lock-free reader scaling: the -cpu sweep becomes a per-procs series in
 # the JSON, so the near-linear-scaling claim is itself under the gate.
 go test -run '^$' -bench '^BenchmarkPredictParallel$' \
-  -benchtime "$benchtime_hot" -count "$count" -benchmem -cpu 1,2,4,8 . >> "$raw"
+  -benchtime 100000x -count 5 -benchmem -cpu 1,2,4,8 . >> "$raw"
 
 # History store: lock-free reads (single and parallel), streaming inserts,
-# and the production 1:4 write/read mix.
+# and the production 1:4 write/read mix (30ns-1us/op).
 go test -run '^$' -bench '^BenchmarkStore(Get|GetParallel|Insert|InsertPredict)$' \
-  -benchtime "$benchtime_store" -count "$count" -benchmem $single ./internal/histstore >> "$raw"
+  -benchtime 2000000x -count 5 -benchmem $single ./internal/histstore >> "$raw"
 
 # History store write path: streaming inserts journaled through the WAL,
 # and steady-state inserts into full 16384-point rings, where every insert
 # evicts and the copy-on-write successor copies one chunk and the spine
 # (1-2us/op).
 go test -run '^$' -bench '^BenchmarkStoreInsert(Durable|FullRing)$' \
-  -benchtime 200000x -count "$count" -benchmem $single ./internal/histstore >> "$raw"
+  -benchtime 200000x -count 5 -benchmem $single ./internal/histstore >> "$raw"
 
 # Admission decision hot path: pure Decide against a precomputed estimate
 # (atomics and cached counters only — the same contract the hotpath
 # analyzer proves above).
 go test -run '^$' -bench '^BenchmarkAdmissionDecide$' \
-  -benchtime "$benchtime_store" -count "$count" -benchmem $single ./internal/admission >> "$raw"
+  -benchtime 2000000x -count 5 -benchmem $single ./internal/admission >> "$raw"
 
 # Accuracy scoring: one completion through a tracker stream (the scoreSample
 # contract the hotpath analyzer proves above, plus window/drift machinery)
 # and the full shadow-stable scoring pass a -shadow deployment pays per
-# observe. allocs/op is pinned at zero by the committed contract.
+# observe (~400ns/op and ~1us/op). allocs/op is pinned at zero by the
+# committed contract.
 go test -run '^$' -bench '^BenchmarkAccuracy(Record|ShadowScore)$' \
-  -benchtime "$benchtime_acc" -count "$count" -benchmem $single ./internal/obs/accuracy >> "$raw"
+  -benchtime 500000x -count 5 -benchmem $single ./internal/obs/accuracy >> "$raw"
 
 go run ./cmd/benchjson parse -o "$outdir/candidate.json" < "$raw"
 cp "$baseline" "$outdir/baseline.json"
