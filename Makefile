@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vuln test race cover bench tables examples clean fmt-check bench-smoke bench-gate fuzz-smoke trace-demo ci
+.PHONY: all build vet lint vuln test race cover tables examples clean fmt-check bench-smoke bench-gate fuzz-smoke trace-demo ci
 
 all: build vet lint test
 
@@ -13,8 +13,8 @@ vet:
 	$(GO) vet ./...
 
 # Repository-specific static analysis: determinism (detrand, wallclock),
-# float comparisons, dropped errors, observability naming, lock/ctx/
-# atomic/taint flow, unbounded growth. See CONTRIBUTING.md for the
+# dropped errors, lock/ctx/atomic/taint flow, hot-path contracts,
+# goroutine termination, unbounded growth. See CONTRIBUTING.md for the
 # invariant list, the taint/bounded annotation grammars, and //lint:allow
 # usage.
 lint:
@@ -40,11 +40,6 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# One iteration of every table/figure benchmark (fast); drop -benchtime for
-# the full statistical run.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x ./...
-
 # Regenerate every table of the paper at 1/10 trace scale.
 tables:
 	$(GO) run ./cmd/tables -scale 10
@@ -67,7 +62,8 @@ fmt-check:
 		echo "unformatted files:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# One iteration of every benchmark so benchmark code cannot bit-rot.
+# One iteration of every benchmark so benchmark code cannot bit-rot; drop
+# -benchtime for a full statistical run.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
 

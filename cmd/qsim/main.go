@@ -99,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *compress != 1 { //lint:allow floatcmp flag-default check; "1" parses to exactly 1.0
+	if *compress != 1 {
 		w = workload.Compress(w, *compress)
 	}
 	if *cancel > 0 {

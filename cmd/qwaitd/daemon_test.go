@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -270,30 +270,53 @@ func checkReselect(t *testing.T, url string) {
 
 // daemon is a qwaitd process: the test binary re-executed as the daemon.
 type daemon struct {
-	url            string
-	cmd            *exec.Cmd
-	stdout, stderr bytes.Buffer
-	exited         chan struct{} // closed once the process has been reaped
+	url    string
+	cmd    *exec.Cmd
+	stdout bytes.Buffer
+	stderr stderrLog
+	exited chan struct{} // closed once the process has been reaped
 }
 
-// startDaemon boots a daemon on a loopback port freed just before it
-// binds, and returns once the daemon answers /v1/stats.
+// stderrLog is the daemon's stderr. It keeps the output for failure
+// messages and sends the bound address from the daemon's listening line
+// on addr, once. Only the command's copying goroutine writes to it, and
+// String is called only after the process is reaped. The buffer is a
+// field, not embedded, so io.Copy cannot bypass Write through ReadFrom.
+type stderrLog struct {
+	buf   bytes.Buffer
+	addr  chan string // capacity 1
+	found bool
+}
+
+// listeningRE matches the daemon's listening line up to the space after
+// the address, so a line split across writes never yields a partial port.
+var listeningRE = regexp.MustCompile(`msg=listening addr=(\S+)\s`)
+
+func (l *stderrLog) String() string { return l.buf.String() }
+
+func (l *stderrLog) Write(p []byte) (int, error) {
+	n, err := l.buf.Write(p)
+	if !l.found {
+		if m := listeningRE.FindSubmatch(l.buf.Bytes()); m != nil {
+			l.found = true
+			l.addr <- string(m[1])
+		}
+	}
+	return n, err
+}
+
+// startDaemon boots a daemon on an ephemeral loopback port, learns the
+// port from the daemon's listening line, and returns once the daemon
+// answers /v1/stats.
 func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	if err := ln.Close(); err != nil {
-		t.Fatal(err)
-	}
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{url: "http://" + addr, exited: make(chan struct{})}
-	d.cmd = exec.Command(exe, append([]string{"-addr", addr}, args...)...)
+	addrc := make(chan string, 1)
+	d := &daemon{exited: make(chan struct{}), stderr: stderrLog{addr: addrc}}
+	d.cmd = exec.Command(exe, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	d.cmd.Env = append(os.Environ(), daemonEnv+"=1")
 	d.cmd.Stdout, d.cmd.Stderr = &d.stdout, &d.stderr
 	if err := d.cmd.Start(); err != nil {
@@ -306,6 +329,15 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Cleanup(d.kill)
 
 	deadline := time.After(10 * time.Second)
+	select {
+	case addr := <-addrc:
+		d.url = "http://" + addr
+	case <-d.exited:
+		t.Fatalf("daemon exited before listening:\n%s", d.stderr.String())
+	case <-deadline:
+		d.kill()
+		t.Fatalf("daemon logged no listening line after 10s:\n%s", d.stderr.String())
+	}
 	for {
 		resp, err := http.Get(d.url + "/v1/stats")
 		if err == nil {
@@ -319,7 +351,7 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 			t.Fatalf("daemon exited before serving:\n%s", d.stderr.String())
 		case <-deadline:
 			d.kill()
-			t.Fatalf("daemon not serving on %s after 10s:\n%s", addr, d.stderr.String())
+			t.Fatalf("daemon not serving on %s after 10s:\n%s", d.url, d.stderr.String())
 		case <-time.After(20 * time.Millisecond):
 		}
 	}

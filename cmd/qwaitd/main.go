@@ -79,6 +79,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/signal"
 	"sort"
@@ -126,9 +127,14 @@ func main() {
 	if a.store != nil && a.snapshotInterval > 0 {
 		go snapshotPeriodically(ctx, logger, a.store, a.snapshotInterval)
 	}
-	logger.Info("listening", "addr", a.addr, "pprof", a.pprofOn,
+	ln, err := net.Listen("tcp", a.addr)
+	if err != nil {
+		logger.Error("listen failed", "addr", a.addr, "err", err)
+		os.Exit(1)
+	}
+	logger.Info("listening", "addr", ln.Addr().String(), "pprof", a.pprofOn,
 		"metrics_interval", a.metricsInterval)
-	if err := a.srv.Serve(ctx, a.addr); err != nil {
+	if err := a.srv.ServeListener(ctx, ln); err != nil {
 		logger.Error("serve failed", "err", err)
 		os.Exit(1)
 	}

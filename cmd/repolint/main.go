@@ -1,35 +1,30 @@
 // Command repolint runs the repository's custom static-analysis suite
-// (internal/lint) over the module: detrand, wallclock, floatcmp, errdrop,
-// obsnames, lockflow, ctxflow, atomicfield, hotpath, goleak, validflow,
-// and boundflow — the invariants that keep the paper's tables
-// reproducible, the service deadlock- and leak-free, the durable store
-// fed only validated input, and the predict hot path cheap.
+// (internal/lint) over the module: detrand, wallclock, errdrop, lockflow,
+// ctxflow, atomicfield, hotpath, goleak, validflow, and boundflow — the
+// invariants that keep the paper's tables reproducible, the service
+// deadlock- and leak-free, the durable store fed only validated input and
+// bounded, and the predict hot path cheap.
 //
 // Usage:
 //
-//	repolint [-checks detrand,wallclock,...] [-format text|json|sarif]
-//	         [-strict] [-require sym]... [packages]
+//	repolint [-checks detrand,wallclock,...] [-C dir] [-require sym]... [packages]
 //
 // Packages default to ./... (the whole module). Diagnostics print as
-// file:line:col: message [check] (paths relative to the working directory
-// when possible), as a JSON array with -format json for editor and CI
-// tooling, or as a SARIF 2.1.0 log with -format sarif for GitHub code
-// scanning. The exit status is 0 when clean, 1 when any diagnostic is
-// reported, and 2 on usage, load, or type-check errors — CI can therefore
-// distinguish "the tree has findings" from "the tool could not run".
+// file:line:col: message [check], with paths relative to the working
+// directory when possible; CI's problem matcher parses exactly this form.
+// The exit status is 0 when clean, 1 when any diagnostic is reported, and
+// 2 on usage, load, or type-check errors — CI can therefore distinguish
+// "the tree has findings" from "the tool could not run".
 //
-// -strict widens conservative analyzers — goleak reports goroutine
-// spawns it cannot resolve instead of staying silent. -require
-// (repeatable) names entry points that must declare a // hotpath:
-// contract; the benchmark gate uses it in place of grepping for
-// annotations.
+// -require (repeatable) names entry points that must declare a
+// // hotpath: contract; the benchmark gate uses it in place of grepping
+// for annotations.
 // Suppress an individual finding with a justified directive:
 //
 //	//lint:allow wallclock measures real request latency
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -63,16 +58,10 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	checks := fs.String("checks", "all", "comma-separated checks to run (see -list)")
 	list := fs.Bool("list", false, "list the available checks and exit")
 	dir := fs.String("C", "", "run as if started in this directory (module root autodetected from it)")
-	format := fs.String("format", "text", "output format: text (file:line:col), json, or sarif")
-	helpBase := fs.String("help-base", "CONTRIBUTING.md", "base URI for SARIF rule helpUri links into the check catalog")
-	strict := fs.Bool("strict", false, "report conservatively-silenced findings (unresolvable goroutine spawns)")
 	var require stringList
 	fs.Var(&require, "require", "entry point that must declare a // hotpath: contract (repeatable): <import-path>.<Func> or <import-path>.<Type>.<Method>")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil
-	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		return 2, fmt.Errorf("unknown -format %q (want text, json, or sarif)", *format)
 	}
 	if *list {
 		for _, a := range lint.All() {
@@ -97,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	diags, err := lint.RunWith(loader, analyzers, paths, lint.Options{Strict: *strict})
+	diags, err := lint.Run(loader, analyzers, paths)
 	if err != nil {
 		return 2, err
 	}
@@ -109,19 +98,8 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 		diags = append(diags, reqDiags...)
 	}
 	relativize(diags)
-	switch *format {
-	case "json":
-		if err := writeJSON(stdout, diags); err != nil {
-			return 2, err
-		}
-	case "sarif":
-		if err := writeSARIF(stdout, *helpBase, analyzers, diags); err != nil {
-			return 2, err
-		}
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "repolint: %d finding(s)\n", len(diags))
@@ -146,34 +124,6 @@ func relativize(diags []lint.Diagnostic) {
 		}
 		diags[i].Pos.Filename = rel
 	}
-}
-
-// jsonDiag is the -format json shape of one finding. It flattens the
-// position so consumers need no knowledge of go/token.
-type jsonDiag struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Message string `json:"message"`
-	Check   string `json:"check"`
-}
-
-// writeJSON emits the findings as one indented JSON array ([] when clean),
-// so the output is always a valid document.
-func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:    d.Pos.Filename,
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Message: d.Message,
-			Check:   d.Check,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // findModuleRoot walks up from dir (default: the working directory) to the

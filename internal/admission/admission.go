@@ -258,7 +258,7 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Headroom == 0 { //lint:allow floatcmp zero is the unset flag value, not a computed quantity
+	if cfg.Headroom == 0 {
 		cfg.Headroom = 1.0
 	}
 	if cfg.DefaultClass == "" {
@@ -280,7 +280,7 @@ func New(cfg Config) (*Controller, error) {
 		if reg == nil {
 			return new(obs.Counter) // unregistered but functional, so Decide never nil-checks
 		}
-		return reg.Counter(name) //lint:allow obsnames registration helper; every call site passes a literal admission.* name
+		return reg.Counter(name)
 	}
 	// Deterministic registration order keeps metric snapshots stable.
 	names := make([]string, 0, len(cfg.Classes))

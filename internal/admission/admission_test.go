@@ -65,7 +65,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestNewDefaults(t *testing.T) {
 	c := mustNew(t, testConfig())
-	if c.Headroom() != 1.0 { //lint:allow floatcmp exact default
+	if c.Headroom() != 1.0 {
 		t.Errorf("default headroom = %g, want 1", c.Headroom())
 	}
 	if c.defaultCls == nil || c.defaultCls.name != "standard" {

@@ -83,7 +83,7 @@ func estimateCategory(c *histstore.Category, t Template, nodes int, age int64, l
 		}
 		v = m2 / float64(n-1)
 	}
-	if v == 0 { //lint:allow floatcmp exact-zero variance guard for a category of identical run times
+	if v == 0 {
 		return mean, 0, true
 	}
 	tq := stats.TQuantile(0.5+level/2, float64(n-1))

@@ -307,7 +307,7 @@ func RegretExperiment(cfg RegretConfig) (*RegretReport, error) {
 			report.Cells = append(report.Cells, anchor)
 
 			for _, scale := range cfg.ErrScales {
-				if scale == 0 { //lint:allow floatcmp exact sweep knob, not a computed value
+				if scale == 0 {
 					continue // covered by the anchor cell
 				}
 				for _, bias := range biases {
@@ -338,7 +338,7 @@ func (r *RegretReport) MeanRegretByScale(headroom float64) map[float64]float64 {
 	sum := map[float64]float64{}
 	n := map[float64]int{}
 	for _, c := range r.Cells {
-		if c.Scheme != "sjf-admit" || c.Headroom != headroom { //lint:allow floatcmp sweep knobs are exact flag values
+		if c.Scheme != "sjf-admit" || c.Headroom != headroom {
 			continue
 		}
 		sum[c.ErrScale] += c.Regret

@@ -57,9 +57,9 @@ func TestRegretExperimentAcceptance(t *testing.T) {
 		switch {
 		case c.Scheme == "fcfs-always":
 			baselines[c.Workload] = c
-		case c.ErrScale == 0 && c.Headroom == 1: //lint:allow floatcmp sweep knobs are exact values
+		case c.ErrScale == 0 && c.Headroom == 1:
 			zeroErr[c.Workload] = c
-			if c.Regret != 0 { //lint:allow floatcmp the anchor cell defines regret zero
+			if c.Regret != 0 {
 				t.Errorf("%s anchor regret = %v, want 0", c.Workload, c.Regret)
 			}
 		}
@@ -92,7 +92,7 @@ func TestRegretExperimentAcceptance(t *testing.T) {
 	if len(scales) != len(cfg.ErrScales) {
 		t.Fatalf("regret series over %d scales, want %d", len(scales), len(cfg.ErrScales))
 	}
-	if mean[0] != 0 { //lint:allow floatcmp regret is exactly anchored at scale 0
+	if mean[0] != 0 {
 		t.Errorf("mean regret at scale 0 = %v, want 0", mean[0])
 	}
 	for i := 1; i < len(scales); i++ {

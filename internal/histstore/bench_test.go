@@ -158,7 +158,7 @@ func BenchmarkStoreInsertDurable(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdrop benchmark teardown; Close errors cannot affect timings
+	defer s.Close()
 	keys := benchKeys(4096)
 	var ctr atomic.Int64
 	b.ReportAllocs()
@@ -180,7 +180,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close() //lint:allow errdrop benchmark teardown; Close errors cannot affect timings
+	defer s.Close()
 	rng := rand.New(rand.NewSource(2))
 	keys := benchKeys(2048)
 	for i := 0; i < 1<<15; i++ {

@@ -22,10 +22,8 @@ import (
 // fine regardless of how it is shut down; the fix for a divergent one is
 // to tie an exit to ctx.Done(), a channel closed on shutdown, or a
 // WaitGroup the owner waits on. Spawns the graph cannot resolve (calls
-// through function-typed variables or interface methods) are normally
-// not reported — the analyzer is biased toward silence over noise — but
-// under -strict each unresolvable spawn site becomes a finding, so an
-// audit can see exactly where the conservative silence lives.
+// through function-typed variables or interface methods) are not
+// reported: the analyzer is biased toward silence over noise.
 var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc: "goroutines started in daemon packages (service, histstore, qwaitd) " +
@@ -87,9 +85,6 @@ func runGoLeak(pass *Pass) {
 				}
 				if target != nil && pass.Graph.Diverges(target) {
 					pass.Reportf(g.Pos(), "goroutine runs %s, which can never return; tie an exit path to ctx.Done(), a channel closed on shutdown, or a WaitGroup", target.Name())
-				}
-				if target == nil && pass.Strict {
-					pass.Reportf(g.Pos(), "goroutine target cannot be resolved statically (function value or interface method), so its termination path is unverified; spawn a named function or verify and suppress")
 				}
 				return true
 			})

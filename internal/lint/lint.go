@@ -69,11 +69,6 @@ type Pass struct {
 	// Graph. May be nil in hand-built passes; analyzers must tolerate
 	// that.
 	Taint *taint.Engine
-	// Strict widens conservative analyzers: findings that are normally
-	// silenced because the analysis could not resolve enough to be sure
-	// (goleak's unresolvable spawn sites) are reported. Off by default.
-	Strict bool
-
 	diags *[]Diagnostic
 }
 
@@ -125,9 +120,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		DetRand,
 		WallClock,
-		FloatCmp,
 		ErrDrop,
-		ObsNames,
 		LockFlow,
 		CtxFlow,
 		AtomicField,

@@ -15,9 +15,7 @@ import (
 
 func TestDetRandFixture(t *testing.T)   { linttest.Run(t, lint.DetRand, "detrand/sim") }
 func TestWallClockFixture(t *testing.T) { linttest.Run(t, lint.WallClock, "wallclock/sim") }
-func TestFloatCmpFixture(t *testing.T)  { linttest.Run(t, lint.FloatCmp, "floatcmp/a") }
 func TestErrDropFixture(t *testing.T)   { linttest.Run(t, lint.ErrDrop, "errdrop/a") }
-func TestObsNamesFixture(t *testing.T)  { linttest.Run(t, lint.ObsNames, "obsnames/a") }
 func TestLockFlowFixture(t *testing.T)  { linttest.Run(t, lint.LockFlow, "lockflow/a") }
 func TestCtxFlowFixture(t *testing.T)   { linttest.Run(t, lint.CtxFlow, "ctxflow/a") }
 
@@ -31,26 +29,6 @@ func TestBoundFlowFixture(t *testing.T)   { linttest.Run(t, lint.BoundFlow, "bou
 // the hotpath analyzer treats as allocations: borrowed map reads and
 // equality operands are clean, every copying conversion is reported.
 func TestHotPathConversionFixture(t *testing.T) { linttest.Run(t, lint.HotPath, "hotpath/conv") }
-
-// TestGoLeakStrictFixture runs the unresolvable-spawn fixture in both
-// modes: lenient stays silent (bias toward no noise), strict surfaces
-// every spawn whose termination path the graph cannot verify, and the
-// resolvable spawn stays quiet in both.
-func TestGoLeakStrictFixture(t *testing.T) {
-	lenient := linttest.RunRawWith(t, []*lint.Analyzer{lint.GoLeak}, "goleak/strict/service", lint.Options{})
-	if len(lenient) != 0 {
-		t.Fatalf("lenient mode reported %d findings, want 0:\n%v", len(lenient), lenient)
-	}
-	strict := linttest.RunRawWith(t, []*lint.Analyzer{lint.GoLeak}, "goleak/strict/service", lint.Options{Strict: true})
-	if len(strict) != 2 {
-		t.Fatalf("strict mode reported %d findings, want 2:\n%v", len(strict), strict)
-	}
-	for _, d := range strict {
-		if d.Check != "goleak" || !strings.Contains(d.Message, "cannot be resolved statically") {
-			t.Errorf("unexpected strict finding: %s", d)
-		}
-	}
-}
 
 // TestValidFlowHygiene asserts the annotation-hygiene findings, which
 // land on the directive comments' own lines (so want comments cannot

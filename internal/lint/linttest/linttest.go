@@ -89,17 +89,6 @@ func RunRaw(t *testing.T, analyzers []*lint.Analyzer, pkgPath string) []lint.Dia
 	return diags
 }
 
-// RunRawWith is RunRaw with explicit runner options (strict mode).
-func RunRawWith(t *testing.T, analyzers []*lint.Analyzer, pkgPath string, opts lint.Options) []lint.Diagnostic {
-	t.Helper()
-	loader := fixtureLoader(t)
-	diags, err := lint.RunWith(loader, analyzers, []string{pkgPath}, opts)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", pkgPath, err)
-	}
-	return diags
-}
-
 // fixtureLoader builds a loader rooted at the module with
 // internal/lint/testdata/src as the fixture search path.
 func fixtureLoader(t *testing.T) *lint.Loader {

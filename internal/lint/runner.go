@@ -87,22 +87,9 @@ func collectDirectives(fset *token.FileSet, pkg *Package) []directive {
 	return out
 }
 
-// Options configures a Run.
-type Options struct {
-	// Strict widens conservative analyzers (see Pass.Strict).
-	Strict bool
-}
-
 // Run executes the analyzers over the packages, applies //lint:allow
 // suppression, and reports malformed directives. Diagnostics come back
-// sorted by position. It is RunWith with default options.
-func Run(loader *Loader, analyzers []*Analyzer, paths []string) ([]Diagnostic, error) {
-	return RunWith(loader, analyzers, paths, Options{})
-}
-
-// RunWith executes the analyzers over the packages with explicit options,
-// applies //lint:allow suppression, and reports malformed directives.
-// Diagnostics come back sorted by position.
+// sorted by position.
 //
 // Suppression is module-wide: interprocedural analyzers (hotpath) report
 // at effect sites that can live in a *different* package than the one
@@ -111,7 +98,7 @@ func Run(loader *Loader, analyzers []*Analyzer, paths []string) ([]Diagnostic, e
 // directives of every other package the loader has seen source for are
 // indexed too (without validation — malformed directives are reported
 // only when their own package is analyzed, so they surface exactly once).
-func RunWith(loader *Loader, analyzers []*Analyzer, paths []string, opts Options) ([]Diagnostic, error) {
+func Run(loader *Loader, analyzers []*Analyzer, paths []string) ([]Diagnostic, error) {
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
@@ -155,7 +142,7 @@ func RunWith(loader *Loader, analyzers []*Analyzer, paths []string, opts Options
 				continue
 			}
 			pass := &Pass{Analyzer: a, Fset: loader.Fset, Pkg: pkg, Lookup: loader.Loaded,
-				Graph: graph, Taint: eng, Strict: opts.Strict, diags: &raw}
+				Graph: graph, Taint: eng, diags: &raw}
 			a.Run(pass)
 		}
 		for _, d := range collectDirectives(loader.Fset, pkg) {

@@ -10,9 +10,10 @@ import (
 
 // TestRepoIsClean runs every analyzer over the real module tree and
 // requires zero diagnostics, pinning the invariant that `repolint ./...`
-// stays clean: any new wall-clock read, global rand draw, float equality,
-// dropped error, or camelCase metric name in checked packages fails the
-// ordinary test suite, not just the lint CI step.
+// stays clean: any new wall-clock read or global rand draw in a
+// deterministic package, dropped error, lock or context misuse, unbounded
+// daemon state, or unvalidated durable input fails the ordinary test
+// suite, not just the lint CI step. It is the suite's only whole-tree run.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")

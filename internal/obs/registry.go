@@ -69,8 +69,9 @@ type Registry struct {
 	// The metric tables are guarded by mu and grow one entry per distinct
 	// metric name.
 
-	// bounded by the static metric-name set: the obsnames check makes every
-	// registration site pass a compile-time literal name
+	// bounded by the static metric-name set: every registration site passes
+	// a literal name or one derived from startup configuration (admission
+	// classes, accuracy streams), never from request data
 	counters map[string]*Counter
 	// bounded by the static metric-name set (see counters)
 	gauges map[string]*Gauge

@@ -45,7 +45,7 @@ func (n Noisy) Name() string {
 // valid.
 func (n Noisy) Predict(j *workload.Job, age int64) (int64, bool) {
 	sec, ok := n.Inner.Predict(j, age)
-	if !ok || n.Scale == 0 { //lint:allow floatcmp Scale==0 is the exact identity configuration, not a computed value
+	if !ok || n.Scale == 0 {
 		return sec, ok
 	}
 	u := unitNoise(uint64(n.Seed), uint64(j.ID)) // [0,1)

@@ -135,7 +135,7 @@ func TestAdmitMetricsOnSnapshot(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if got := snap.Gauges["admission.headroom"]; got != 1.0 { //lint:allow floatcmp exact configured value
+	if got := snap.Gauges["admission.headroom"]; got != 1.0 {
 		t.Errorf("admission.headroom = %g, want 1", got)
 	}
 }

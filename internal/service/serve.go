@@ -18,19 +18,10 @@ const (
 	shutdownGrace     = 10 * time.Second
 )
 
-// Serve listens on addr and serves the handler until ctx is cancelled,
-// then drains in-flight requests gracefully (bounded by shutdownGrace).
-// It returns nil after a clean shutdown.
-func (s *Server) Serve(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeListener(ctx, ln)
-}
-
-// ServeListener is Serve on an existing listener, so tests and embedders
-// can bind port 0 and learn the address before serving. The listener is
+// ServeListener serves the handler on ln until ctx is cancelled, then
+// drains in-flight requests gracefully (bounded by shutdownGrace). It
+// returns nil after a clean shutdown. Taking a bound listener lets callers
+// bind port 0 and learn the address before serving. The listener is
 // closed when serving stops.
 func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{

@@ -81,7 +81,7 @@ func TestAdmissionShedExcludedFromMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resShed.MeanWaitSec != resBase.MeanWaitSec { //lint:allow floatcmp identical integer schedules must agree exactly
+	if resShed.MeanWaitSec != resBase.MeanWaitSec {
 		t.Fatalf("mean wait with shed job = %g, without = %g; shed jobs must not count",
 			resShed.MeanWaitSec, resBase.MeanWaitSec)
 	}

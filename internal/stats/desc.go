@@ -170,7 +170,7 @@ func MeanCI(xs []float64, level float64) (mean, half float64, err error) {
 		return math.NaN(), math.NaN(), ErrInsufficientData
 	}
 	m, v := MeanVar(xs)
-	if v == 0 { //lint:allow floatcmp exact-zero variance guard; near-zero takes the general path harmlessly
+	if v == 0 {
 		// A category of identical run times predicts itself exactly.
 		return m, 0, nil
 	}

@@ -35,7 +35,7 @@ func FitLinear(xs, ys []float64) (*LinReg, error) {
 		sxx += dx * dx
 		sxy += dx * (ys[i] - ym)
 	}
-	if sxx == 0 { //lint:allow floatcmp exact-zero spread guard: all x identical, slope undefined
+	if sxx == 0 {
 		return nil, ErrInsufficientData
 	}
 	b := sxy / sxx
@@ -67,7 +67,7 @@ func (r *LinReg) Predict(x float64) float64 {
 //	half = t(level, n-2) * s * sqrt(1 + 1/n + (x - x̄)²/Sxx)
 func (r *LinReg) PredictInterval(x, level float64) (pred, half float64) {
 	pred = r.Predict(x)
-	if r.ResidStd == 0 { //lint:allow floatcmp exact-zero residual guard; a perfect fit predicts exactly
+	if r.ResidStd == 0 {
 		return pred, 0
 	}
 	t := TQuantile(0.5+level/2, float64(r.N-2))
@@ -81,7 +81,7 @@ func (r *LinReg) PredictInterval(x, level float64) (pred, half float64) {
 func FitInverse(xs, ys []float64) (*TransformedReg, error) {
 	tx := make([]float64, len(xs)) //lint:allow hotpath one transformed-regressor slice per fit; part of the committed allocs/op floor
 	for i, x := range xs {
-		if x == 0 { //lint:allow floatcmp exact zero is the only x where 1/x is undefined
+		if x == 0 {
 			return nil, ErrInsufficientData
 		}
 		tx[i] = 1 / x
@@ -161,7 +161,7 @@ func FitWeightedLinear(xs, ys, ws []float64) (*WeightedLinReg, error) {
 		sxx += ws[i] * dx * dx
 		sxy += ws[i] * dx * (ys[i] - ym)
 	}
-	if sxx == 0 { //lint:allow floatcmp exact-zero spread guard: all x identical, slope undefined
+	if sxx == 0 {
 		return nil, ErrInsufficientData
 	}
 	b := sxy / sxx

@@ -164,7 +164,7 @@ var tqTables atomic.Pointer[[]*tqTable]
 // hotpath: no-lock no-alloc no-clock
 func TQuantile(p, nu float64) float64 {
 	if nu >= 1 && nu < tqMaxDF {
-		if k := int(nu); float64(k) == nu { //lint:allow floatcmp exact integrality test: only whole degrees of freedom index the table
+		if k := int(nu); float64(k) == nu {
 			if t := tqTableOf(p); t != nil {
 				return t.quantile(k)
 			}
@@ -250,7 +250,7 @@ func tQuantileSlow(p, nu float64) float64 {
 		return math.Inf(-1)
 	case p >= 1:
 		return math.Inf(1)
-	case p == 0.5: //lint:allow floatcmp exact symmetry point of the t distribution; 0.5 is representable
+	case p == 0.5:
 		return 0
 	case p < 0.5:
 		return -TQuantile(1-p, nu)

@@ -44,7 +44,7 @@ func WelchTMoments(x, y Moments) (TTestResult, error) {
 func welchFromSummary(mx, vx, nx, my, vy, ny float64) (TTestResult, error) {
 	se2 := vx/nx + vy/ny
 	if se2 <= 0 {
-		if mx == my { //lint:allow floatcmp degenerate zero-variance case: means of identical constants compare exactly
+		if mx == my {
 			// Identical constants: no evidence of difference.
 			return TTestResult{T: 0, DF: nx + ny - 2, P: 1}, nil
 		}
@@ -76,7 +76,7 @@ func PairedT(xs, ys []float64) (TTestResult, error) {
 	m, v := MeanVar(diffs)
 	n := float64(len(diffs))
 	if v <= 0 {
-		if m == 0 { //lint:allow floatcmp degenerate zero-variance case: exact-zero constant difference
+		if m == 0 {
 			return TTestResult{T: 0, DF: n - 1, P: 1}, nil
 		}
 		// Constant nonzero difference: infinitely strong evidence.

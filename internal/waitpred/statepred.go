@@ -226,7 +226,7 @@ func (c *scategory) estimate(level float64) (mean, half float64, ok bool) {
 	if v < 0 {
 		v = 0
 	}
-	if v == 0 { //lint:allow floatcmp exact-zero variance guard for identical stored waits
+	if v == 0 {
 		return mean, 0, true
 	}
 	tq := stats.TQuantile(0.5+level/2, float64(c.n-1))

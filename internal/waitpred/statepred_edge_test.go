@@ -71,7 +71,7 @@ func TestStatePredictorLevelClamped(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p.SetLevel(tc.in)
-		if p.Level() != tc.want { //lint:allow floatcmp clamp returns these exact constants
+		if p.Level() != tc.want {
 			t.Errorf("SetLevel(%g): level = %g, want %g", tc.in, p.Level(), tc.want)
 		}
 	}
