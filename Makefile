@@ -13,10 +13,9 @@ vet:
 	$(GO) vet ./...
 
 # Repository-specific static analysis: determinism (detrand, wallclock),
-# dropped errors, lock/ctx/atomic/taint flow, hot-path contracts,
-# goroutine termination, unbounded growth. See CONTRIBUTING.md for the
-# invariant list, the taint/bounded annotation grammars, and //lint:allow
-# usage.
+# dropped errors, lock/ctx/atomic flow, hot-path contracts, goroutine
+# termination, unbounded growth. See CONTRIBUTING.md for the invariant
+# list, the bounded annotation grammar, and //lint:allow usage.
 lint:
 	$(GO) run ./cmd/repolint ./...
 
@@ -47,9 +46,6 @@ tables:
 # Run every example.
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/resourceselect
-	$(GO) run ./examples/metasched
-	$(GO) run ./examples/onlinesched
 	$(GO) run ./examples/coallocation
 
 clean:

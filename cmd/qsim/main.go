@@ -216,8 +216,6 @@ func runRegret(stdout io.Writer, scale int, seed int64, errScales, biases, headr
 
 // overrideFloats parses a comma-separated flag value, keeping the default
 // when the flag was not set.
-//
-// taint: sanitizer rejects sweep lists that are not comma-separated floats
 func overrideFloats(def []float64, s string) ([]float64, error) {
 	if s == "" {
 		return def, nil

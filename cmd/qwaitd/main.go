@@ -312,10 +312,7 @@ func build(args []string, stdout io.Writer) (*app, error) {
 			w, err := workload.ReadSWF(f, workload.SWFOptions{Name: *warm})
 			_ = f.Close() // read-only file; the ReadSWF error is the interesting one
 			if err != nil {
-				return nil, err
-			}
-			if err := w.Validate(); err != nil {
-				return nil, fmt.Errorf("warm trace %s: %w", *warm, err)
+				return nil, err // ReadSWF validates; the error names the trace
 			}
 			for _, j := range w.Jobs {
 				pred.Observe(j)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/histstore"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -216,6 +217,37 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := build([]string{"-badflag"}, &sb); err == nil {
 		t.Error("bad flag should error")
+	}
+
+	// A -warm trace whose job asks for more nodes than its header's
+	// machine has is refused before any job is observed, so a -data
+	// store stays empty.
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "oversized.swf")
+	row := "1 0 0 600 128 -1 -1 128 1200 -1 1 7 -1 3 -1 -1 -1 -1\n"
+	if err := os.WriteFile(bad, []byte("; MaxProcs: 64\n"+row), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := build([]string{"-warm", bad}, &sb); err == nil ||
+		!strings.Contains(err.Error(), "requests 128 of 64 nodes") {
+		t.Errorf("oversized warm job: err = %v, want requests 128 of 64 nodes", err)
+	}
+	storeDir := filepath.Join(dir, "hist")
+	if _, err := build([]string{"-warm", bad, "-data", storeDir}, &sb); err == nil ||
+		!strings.Contains(err.Error(), "requests 128 of 64 nodes") {
+		t.Errorf("oversized warm job with -data: err = %v, want requests 128 of 64 nodes", err)
+	}
+	st, err := histstore.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if n := st.Categories(); n != 0 {
+		t.Fatalf("refused warm trace left %d categories in the store", n)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Command repolint runs the repository's custom static-analysis suite
 // (internal/lint) over the module: detrand, wallclock, errdrop, lockflow,
-// ctxflow, atomicfield, hotpath, goleak, validflow, and boundflow — the
-// invariants that keep the paper's tables reproducible, the service
-// deadlock- and leak-free, the durable store fed only validated input and
-// bounded, and the predict hot path cheap.
+// ctxflow, atomicfield, hotpath, goleak, and boundflow — the invariants
+// that keep the paper's tables reproducible, the service deadlock- and
+// leak-free, the durable store bounded, and the predict hot path cheap.
 //
 // Usage:
 //

@@ -16,7 +16,7 @@ func TestListPrintsEveryCheck(t *testing.T) {
 	}
 	want := []string{
 		"detrand", "wallclock", "errdrop", "lockflow", "ctxflow",
-		"atomicfield", "hotpath", "goleak", "validflow", "boundflow",
+		"atomicfield", "hotpath", "goleak", "boundflow",
 	}
 	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
 	if len(lines) != len(want) {

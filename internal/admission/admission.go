@@ -203,8 +203,6 @@ type Controller struct {
 // those defaults after validation. Callers assembling a Config from
 // operator input (flags, environment, request bodies) should call Validate
 // themselves so a bad knob is rejected before it reaches New.
-//
-// taint: sanitizer rejects class tables and knobs no controller should be built from
 func (cfg Config) Validate() error {
 	if len(cfg.Classes) == 0 {
 		return fmt.Errorf("admission: no classes configured")
@@ -252,8 +250,6 @@ func (cfg Config) Validate() error {
 // subsequent admission decision, so the configuration must come through
 // Validate (called here, and again by flag-parsing callers before they
 // hand the config over).
-//
-// taint: sink installs the class tables and budgets every admission decision consults
 func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -32,8 +32,6 @@ func DefaultClasses() map[string]ClassConfig {
 // ":tokens=N" caps admissions per token window. Example:
 //
 //	interactive=10m:always,standard=1h:shed,batch=4h:shed:tokens=200
-//
-// taint: sanitizer rejects malformed class specs before they shape admission budgets
 func ParseClasses(spec string) (map[string]ClassConfig, error) {
 	out := make(map[string]ClassConfig)
 	for _, field := range strings.Split(spec, ",") {

@@ -61,8 +61,6 @@ func predTypeFromString(s string) (PredType, error) {
 
 // UnmarshalTemplates decodes a template set from JSON, validating every
 // field against the paper's bounds.
-//
-// taint: sanitizer rejects template JSON whose prediction types, characteristics, or node ranges are invalid
 func UnmarshalTemplates(data []byte) ([]Template, error) {
 	var in []templateJSON
 	if err := json.Unmarshal(data, &in); err != nil {

@@ -47,8 +47,6 @@ const (
 // workload. The Smith predictor uses the default template set unless
 // templates were registered for the workload via SetTemplates (e.g. from a
 // GA search).
-//
-// taint: sanitizer rejects unknown predictor kinds, the grammar of the -predictor flag
 func NewPredictor(kind PredictorKind, w *workload.Workload) (predict.Predictor, error) {
 	switch kind {
 	case KindActual:

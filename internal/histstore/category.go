@@ -53,8 +53,6 @@ type Point struct {
 // write path so the WAL and snapshots never hold a point that recovery
 // would reject — recovery-time validation must never be the first gate
 // for data the write path accepted.
-//
-// taint: sanitizer rejects non-positive and non-finite points before they are journaled
 func (p Point) Validate() error {
 	if !(p.RunTime > 0) || math.IsInf(p.RunTime, 0) {
 		return fmt.Errorf("histstore: point run time %v must be positive and finite", p.RunTime)
@@ -286,8 +284,6 @@ func (c *Category) state() persistState {
 
 // restoreCategory rebuilds a category from persisted state, validating the
 // ring invariants.
-//
-// taint: sanitizer rejects persisted state whose ring shape or points are invalid
 func restoreCategory(ps persistState) (*Category, error) {
 	if ps.MaxHistory < 0 {
 		return nil, fmt.Errorf("histstore: negative maxHistory %d", ps.MaxHistory)

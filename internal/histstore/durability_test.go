@@ -382,6 +382,80 @@ func TestDurableInsertRejectsInvalidPointBeforeWAL(t *testing.T) {
 	}
 }
 
+// TestRecoveryStopsAtInvalidRecord forges WAL records that pass the CRC
+// and parse cleanly but carry values no healthy append journals. Replay
+// must treat each like a torn tail: the good prefix recovers, the forged
+// record and everything behind it never reach a category, and the log is
+// truncated back to the good prefix.
+func TestRecoveryStopsAtInvalidRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		key  string
+		p    Point
+	}{
+		{"negative run time", "forged", Point{RunTime: -1, Nodes: 4}},
+		{"NaN nodes", "forged", Point{RunTime: 10, Ratio: math.NaN(), Nodes: math.NaN()}},
+		{"empty key", "", pt(10, 0, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			live, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := live.Insert([]byte("good"), 0, pt(100, 200, 4)); err != nil {
+				t.Fatal(err)
+			}
+			if err := live.Close(); err != nil {
+				t.Fatal(err)
+			}
+			walPath := filepath.Join(dir, WALFile)
+			good, err := os.Stat(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The forged record, then a valid one behind it: the suffix
+			// after the first invalid record is dropped as a whole.
+			f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := frame(f, recordPayload(2, []byte(tc.key), 0, tc.p)); err != nil {
+				t.Fatal(err)
+			}
+			if err := frame(f, recordPayload(3, []byte("after"), 0, pt(50, 0, 2))); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			recovered, err := Open(dir)
+			if err != nil {
+				t.Fatalf("forged record must not fail recovery: %v", err)
+			}
+			defer func() {
+				if err := recovered.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			if recovered.Categories() != 1 || recovered.Points() != 1 {
+				t.Fatalf("recovered %d categories / %d points, want 1/1",
+					recovered.Categories(), recovered.Points())
+			}
+			after, err := os.Stat(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Size() != good.Size() {
+				t.Fatalf("wal is %d bytes after recovery, want the %d-byte good prefix",
+					after.Size(), good.Size())
+			}
+		})
+	}
+}
+
 // failingReader serves its data then fails with a non-EOF error, simulating
 // a device-level read fault in the middle of a WAL.
 type failingReader struct {

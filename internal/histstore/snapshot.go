@@ -71,8 +71,6 @@ type snapCategory struct {
 // exists, replays the WAL tail past it, truncates any torn record left by
 // a crash, and arranges for every future Insert to be journaled. The
 // directory is created if missing.
-//
-// taint: sanitizer validated recovery boundary — every recovered category and WAL record passes restoreCategory or validateRecord before it is published
 func Open(dir string, opts ...Option) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

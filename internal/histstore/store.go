@@ -326,8 +326,6 @@ func (s *Store) roomFor(sh *shard, key []byte) error {
 // only error is ErrCategoryLimit, when publishing a new key would exceed
 // the store's category cap. A new category is the only place the rendered
 // key becomes a string.
-//
-// taint: sink publishes the key and point into the live category table
 func (s *Store) applyLocked(sh *shard, key []byte, maxHistory int, p Point) error {
 	v := sh.loadView()
 	if h, ok := v.cats[string(key)]; ok {
@@ -418,8 +416,6 @@ func (s *Store) get(key []byte) (*Category, string, bool) {
 // one. The store takes ownership: the caller must not mutate c after Put.
 // It is the snapshot-load path and does not journal: the snapshot it
 // restores from already makes the state recoverable.
-//
-// taint: sink installs a fully built category into the live table without journaling
 func (s *Store) Put(key string, c *Category) {
 	c.finalize()
 	sh := s.shardAt(maphash.String(s.seed, key))

@@ -102,8 +102,6 @@ func recordPayload(seq uint64, key []byte, maxHistory int, pt Point) []byte {
 
 // parseRecord decodes an insert record payload. It checks structure
 // (lengths) only; validateRecord judges the decoded values.
-//
-// taint: source wal bytes come from disk and can be corrupt, truncated, or forged
 func parseRecord(p []byte) (seq uint64, key []byte, maxHistory int, pt Point, err error) {
 	if len(p) < walRecFixed {
 		return 0, nil, 0, Point{}, fmt.Errorf("histstore: wal record too short (%d bytes)", len(p))
@@ -126,8 +124,6 @@ func parseRecord(p []byte) (seq uint64, key []byte, maxHistory int, pt Point, er
 // Point.Validate, non-empty keys, and non-negative history bounds, so a
 // record violating any of those is disk corruption that happened to
 // parse — replay must not let it poison a live category.
-//
-// taint: sanitizer rejects decoded wal records no healthy writer could have journaled
 func validateRecord(key []byte, maxHistory int, pt Point) error {
 	if err := pt.Validate(); err != nil {
 		return err
@@ -143,8 +139,6 @@ func validateRecord(key []byte, maxHistory int, pt Point) error {
 
 // append journals one insert and flushes it to the operating system. The
 // assigned sequence number becomes the wal's new last.
-//
-// taint: sink appended records replay into live categories on every open
 func (w *wal) append(key []byte, maxHistory int, pt Point) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

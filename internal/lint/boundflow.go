@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -396,6 +398,12 @@ func runBoundFlow(pass *Pass) {
 			"%s field %s grows at %s without a statically evident bound (len check, delete, truncating reslice); add eviction or justify with // bounded by <why>",
 			fi.kind, fi.obj.Name(), strings.Join(sites, ", "))
 	}
+}
+
+// shortPos renders a position as base-filename:line.
+func shortPos(pass *Pass, p token.Pos) string {
+	pos := pass.Fset.Position(p)
+	return filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line)
 }
 
 // isAppendCall reports whether e is a call to the builtin append

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/lint/callgraph"
-	"repro/internal/lint/taint"
 )
 
 // Analyzer is one named check. Run inspects a single type-checked package
@@ -64,11 +63,6 @@ type Pass struct {
 	// cross-package summaries of lockflow/ctxflow) traverse it. May be
 	// nil in hand-built passes; analyzers must tolerate that.
 	Graph *callgraph.Graph
-	// Taint is the interprocedural value-flow engine shared by every
-	// analyzer in one Run, memoizing per-function taint summaries over
-	// Graph. May be nil in hand-built passes; analyzers must tolerate
-	// that.
-	Taint *taint.Engine
 	diags *[]Diagnostic
 }
 
@@ -126,7 +120,6 @@ func All() []*Analyzer {
 		AtomicField,
 		HotPath,
 		GoLeak,
-		ValidFlow,
 		BoundFlow,
 	}
 }

@@ -22,36 +22,12 @@ func TestCtxFlowFixture(t *testing.T)   { linttest.Run(t, lint.CtxFlow, "ctxflow
 func TestAtomicFieldFixture(t *testing.T) { linttest.Run(t, lint.AtomicField, "atomicfield/a") }
 func TestHotPathFixture(t *testing.T)     { linttest.Run(t, lint.HotPath, "hotpath/a") }
 func TestGoLeakFixture(t *testing.T)      { linttest.Run(t, lint.GoLeak, "goleak/service") }
-func TestValidFlowFixture(t *testing.T)   { linttest.Run(t, lint.ValidFlow, "validflow/a") }
 func TestBoundFlowFixture(t *testing.T)   { linttest.Run(t, lint.BoundFlow, "boundflow/service") }
 
 // TestHotPathConversionFixture pins which []byte → string conversions
 // the hotpath analyzer treats as allocations: borrowed map reads and
 // equality operands are clean, every copying conversion is reported.
 func TestHotPathConversionFixture(t *testing.T) { linttest.Run(t, lint.HotPath, "hotpath/conv") }
-
-// TestValidFlowHygiene asserts the annotation-hygiene findings, which
-// land on the directive comments' own lines (so want comments cannot
-// annotate them): malformed roles, missing justifications, and
-// well-formed annotations outside a function declaration's doc comment.
-func TestValidFlowHygiene(t *testing.T) {
-	diags := linttest.RunRaw(t, []*lint.Analyzer{lint.ValidFlow}, "validflow/hygiene")
-	wantSubstrings := []string{
-		`taint: unknown role "wizard"`,
-		"taint: annotation needs a role",
-		"taint: source needs a justification after the role",
-		"taint: annotation must be in a function declaration's doc comment", // var decl
-		"taint: annotation must be in a function declaration's doc comment", // function body
-	}
-	if len(diags) != len(wantSubstrings) {
-		t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(wantSubstrings), diags)
-	}
-	for i, w := range wantSubstrings {
-		if diags[i].Check != "validflow" || !strings.Contains(diags[i].Message, w) {
-			t.Errorf("diagnostic %d = %s, want validflow containing %q", i, diags[i], w)
-		}
-	}
-}
 
 // TestBoundFlowHygiene: a bounded annotation without a justification is
 // a finding on its own line, and it does not justify the field — the

@@ -105,7 +105,6 @@ func Run(loader *Loader, analyzers []*Analyzer, paths []string) ([]Diagnostic, e
 	}
 
 	graph := newCallGraph(loader)
-	eng := newTaintEngine(graph)
 	var raw, diags []Diagnostic // raw awaits suppression; diags are directive findings
 
 	// suppressed[file][line][check]: a trailing directive covers its own
@@ -142,7 +141,7 @@ func Run(loader *Loader, analyzers []*Analyzer, paths []string) ([]Diagnostic, e
 				continue
 			}
 			pass := &Pass{Analyzer: a, Fset: loader.Fset, Pkg: pkg, Lookup: loader.Loaded,
-				Graph: graph, Taint: eng, diags: &raw}
+				Graph: graph, diags: &raw}
 			a.Run(pass)
 		}
 		for _, d := range collectDirectives(loader.Fset, pkg) {

@@ -378,8 +378,6 @@ func errorJSON(w http.ResponseWriter, status int, format string, args ...interfa
 }
 
 // decode reads a JSON request body into v.
-//
-// taint: source HTTP request bodies are caller-controlled and unvalidated
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
@@ -404,8 +402,6 @@ type ObserveRequest struct {
 // and the user-supplied maximum non-negative — the values the store (and
 // recovery) would refuse, rejected before they are journaled. The empty
 // string means the job may enter the history.
-//
-// taint: sanitizer rejects completions the durable history (and its recovery) would refuse
 func validateObserved(job *workload.Job) string {
 	switch {
 	case job.RunTime <= 0:

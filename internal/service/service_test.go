@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -181,26 +183,46 @@ func TestPredictWaitValidation(t *testing.T) {
 }
 
 func TestObserveValidation(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp := post(t, ts.URL+"/v1/observe", ObserveRequest{Job: job(1, "a", 4, 0, 0)}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("zero runtime observe: status %d", resp.StatusCode)
+	ts, s, st := newStoreServer(t)
+	if resp := post(t, ts.URL+"/v1/observe", ObserveRequest{Job: job(0, "a", 4, 600, 1200)}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid observe: status %d", resp.StatusCode)
 	}
-	// Nodes<=0 (e.g. the field omitted) and negative maxRunTime must be
-	// rejected before they reach the history store: the durable write path
-	// journals what it accepts, and recovery refuses such points, so letting
-	// one through would brick every subsequent boot.
-	resp = post(t, ts.URL+"/v1/observe", ObserveRequest{Job: job(2, "a", 0, 600, 0)}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("zero nodes observe: status %d", resp.StatusCode)
+	type durable struct {
+		observations int64
+		categories   int
+		walBytes     int64
 	}
-	resp = post(t, ts.URL+"/v1/observe", ObserveRequest{Job: job(3, "a", -1, 600, 0)}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative nodes observe: status %d", resp.StatusCode)
+	state := func() durable {
+		fi, err := os.Stat(filepath.Join(st.Dir(), histstore.WALFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return durable{s.observations.Load(), st.Categories(), fi.Size()}
 	}
-	resp = post(t, ts.URL+"/v1/observe", ObserveRequest{Job: job(4, "a", 4, 600, -30)}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative maxRunTime observe: status %d", resp.StatusCode)
+	before := state()
+	// Every shape the durable history (or its recovery) would refuse is
+	// rejected before it reaches the store: the durable write path
+	// journals what it accepts, and recovery refuses such points, so
+	// letting one through would brick every subsequent boot. A rejected
+	// observe must leave the observation count, the category table and
+	// the WAL exactly as they were.
+	for _, tc := range []struct {
+		name string
+		job  JobJSON
+	}{
+		{"zero runtime", job(1, "b", 4, 0, 0)},
+		{"negative runtime", job(2, "b", 4, -5, 0)},
+		{"zero nodes", job(3, "b", 0, 600, 0)}, // e.g. the field omitted
+		{"negative nodes", job(4, "b", -1, 600, 0)},
+		{"negative maxRunTime", job(5, "b", 4, 600, -30)},
+	} {
+		resp := post(t, ts.URL+"/v1/observe", ObserveRequest{Job: tc.job}, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s observe: status %d", tc.name, resp.StatusCode)
+		}
+		if got := state(); got != before {
+			t.Fatalf("%s observe changed durable state: %+v, want %+v", tc.name, got, before)
+		}
 	}
 	// Unknown fields rejected.
 	raw := bytes.NewReader([]byte(`{"job":{"id":1,"nodes":1,"runTime":10},"bogus":true}`))
@@ -220,6 +242,9 @@ func TestObserveValidation(t *testing.T) {
 	g.Body.Close()
 	if g.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET: status %d", g.StatusCode)
+	}
+	if got := state(); got != before {
+		t.Fatalf("malformed observes changed durable state: %+v, want %+v", got, before)
 	}
 }
 

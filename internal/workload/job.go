@@ -220,8 +220,6 @@ func (w *Workload) Clone() *Workload {
 
 // Validate checks internal consistency: jobs sorted by submit time,
 // positive run times, node requests within the machine size.
-//
-// taint: sanitizer rejects workloads whose jobs would corrupt histories or simulations
 func (w *Workload) Validate() error {
 	if w.MachineNodes <= 0 {
 		return fmt.Errorf("workload %s: nonpositive machine size %d", w.Name, w.MachineNodes)

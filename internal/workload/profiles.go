@@ -107,8 +107,6 @@ func StudyConfig(name string, scale int, seed int64) (SynthConfig, error) {
 }
 
 // Study generates one of the four calibrated study workloads.
-//
-// taint: sanitizer rejects unknown study-workload names and emits only generator-calibrated workloads
 func Study(name string, scale int, seed int64) (*Workload, error) {
 	cfg, err := StudyConfig(name, scale, seed)
 	if err != nil {

@@ -56,8 +56,6 @@ func swfHeaderMaxProcs(line string) (int, bool) {
 // be scheduled). User, executable, and queue numbers become the string
 // characteristics "u<N>", "e<N>", and "q<N>". Requested time becomes the
 // user-supplied maximum run time when present.
-//
-// taint: source SWF trace rows are external input and can violate workload invariants
 func ReadSWF(r io.Reader, opts SWFOptions) (*Workload, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
