@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vuln test race cover tables examples clean fmt-check bench-smoke bench-gate fuzz-smoke trace-demo ci
+.PHONY: all build vet lint vuln test race cover tables examples clean fmt-check bench-smoke fuzz-smoke trace-demo ci
 
 all: build vet lint test
 
@@ -62,15 +62,6 @@ fmt-check:
 # -benchtime for a full statistical run.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
-
-# Run the gated benchmark suite (predict hot path, reader-scaling sweep,
-# history store) and compare against the committed BENCH_*.json baseline —
-# the exact pipeline the CI bench-gate job runs. Override the baseline
-# with BENCH_BASELINE=...; iteration and sample counts are fixed in
-# scripts/bench_gate.sh so every run measures the same work.
-BENCH_BASELINE ?= BENCH_0015.json
-bench-gate:
-	sh scripts/bench_gate.sh $(BENCH_BASELINE)
 
 # A short fuzzing run of the SWF parser — long enough to catch regressions
 # in input validation, short enough for a pre-push check.

@@ -215,6 +215,10 @@ func replayError(pw ga.PredWorkload, p predict.Predictor) float64 {
 }
 
 // --- Microbenchmarks of the hot paths ---
+//
+// The hot-path microbenchmarks build their operations from helpers that
+// TestAllocationCeilings shares, so the test holds the allocation count
+// of exactly the operation each benchmark times.
 
 // BenchmarkPredictParallel measures prediction throughput as reader
 // goroutines scale — run with -cpu 1,2,4,8 for the scaling series.
@@ -238,36 +242,61 @@ func BenchmarkPredictParallel(b *testing.B) {
 // prediction API scoring 100 jobs per call against a warmed store.
 func BenchmarkPredictBatch(b *testing.B) {
 	p, probe := warmedPredictor(b)
-	items := make([]core.BatchItem, 100)
-	for i := range items {
-		items[i] = core.BatchItem{Job: probe}
-	}
+	items := batchOf(probe)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := p.PredictDetailedBatch(items)
-		if !res[0].OK {
-			b.Fatal("no prediction")
-		}
+		predictBatch(b, p, items)
 	}
 }
 
 // warmedPredictor trains a default (memory-only store) predictor on the
 // full ANL/20 study workload and returns it with a probe job, for hot-path
 // benchmarks.
-func warmedPredictor(b *testing.B) (*core.Predictor, *workload.Job) {
-	b.Helper()
+func warmedPredictor(tb testing.TB) (*core.Predictor, *workload.Job) {
+	tb.Helper()
 	w, err := workload.Study("ANL", 20, 7)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p := core.NewDefault(w)
 	for _, j := range w.Jobs {
 		p.Observe(j)
 	}
 	if err := p.StoreErr(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p, w.Jobs[len(w.Jobs)-1]
+}
+
+// batchOf is a 100-job batch of one probe.
+func batchOf(probe *workload.Job) []core.BatchItem {
+	items := make([]core.BatchItem, 100)
+	for i := range items {
+		items[i] = core.BatchItem{Job: probe}
+	}
+	return items
+}
+
+func predictBatch(tb testing.TB, p *core.Predictor, items []core.BatchItem) {
+	if res := p.PredictDetailedBatch(items); !res[0].OK {
+		tb.Fatal("no prediction")
+	}
+}
+
+// predictCtx is one detailed prediction through the context-threaded API;
+// with a tracer whose root span is in ctx, it records the span tree.
+func predictCtx(ctx context.Context, tb testing.TB, p *core.Predictor, probe *workload.Job) {
+	if _, ok := p.PredictDetailedCtx(ctx, probe, 0); !ok {
+		tb.Fatal("no prediction")
+	}
+}
+
+// tracedPredict is one fully sampled prediction: root span, per-template
+// children, and ring insertion.
+func tracedPredict(tb testing.TB, tr *trace.Tracer, p *core.Predictor, probe *workload.Job) {
+	ctx, root := tr.StartRoot(context.Background(), "bench.predict")
+	predictCtx(ctx, tb, p, probe)
+	root.End()
 }
 
 // BenchmarkPredictHotPathBaseline is the reference point for the tracer
@@ -290,24 +319,17 @@ func BenchmarkPredictHotPathTracerDisabled(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := p.PredictDetailedCtx(ctx, probe, 0); !ok {
-			b.Fatal("no prediction")
-		}
+		predictCtx(ctx, b, p, probe)
 	}
 }
 
-// BenchmarkPredictHotPathTracerEnabled measures a fully sampled prediction:
-// root span, per-template children, and ring insertion each iteration.
+// BenchmarkPredictHotPathTracerEnabled measures a fully sampled prediction.
 func BenchmarkPredictHotPathTracerEnabled(b *testing.B) {
 	p, probe := warmedPredictor(b)
 	tr := trace.New(trace.WithSampleRate(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx, root := tr.StartRoot(context.Background(), "bench.predict")
-		if _, ok := p.PredictDetailedCtx(ctx, probe, 0); !ok {
-			b.Fatal("no prediction")
-		}
-		root.End()
+		tracedPredict(b, tr, p, probe)
 	}
 }
 
@@ -370,47 +392,106 @@ func BenchmarkProfileEarliestFit(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictWait measures one queue wait-time prediction against a
-// deep queue — the latency a resource-selection client sees per candidate
-// system.
-func BenchmarkPredictWait(b *testing.B) {
-	const total = 400
-	var running []*workload.Job
+// waitNodes is the machine size of deepQueue's snapshot.
+const waitNodes = 400
+
+// deepQueue is the machine state BenchmarkPredictWait predicts against:
+// three quarters of 400 nodes busy and 60 jobs queued, the last of them the
+// target.
+func deepQueue() (queue, running []*workload.Job) {
 	used := 0
-	for i := 0; used+8 <= total*3/4; i++ {
+	for i := 0; used+8 <= waitNodes*3/4; i++ {
 		j := &workload.Job{ID: i, Nodes: 8, RunTime: int64(1000 + i*100), StartTime: -int64(i * 50)}
 		j.MaxRunTime = j.RunTime * 2
 		running = append(running, j)
 		used += 8
 	}
-	var queue []*workload.Job
 	for i := 0; i < 60; i++ {
 		queue = append(queue, &workload.Job{
 			ID: 1000 + i, Nodes: 1 << (i % 7), RunTime: int64(600 + i*37),
 			MaxRunTime: int64(1800 + i*37),
 		})
 	}
-	target := queue[len(queue)-1]
+	return queue, running
+}
+
+func predictWait(tb testing.TB, queue, running []*workload.Job) {
+	if _, err := waitpred.PredictWait(0, queue[len(queue)-1], queue, running, waitNodes,
+		sched.Backfill{}, predict.MaxRuntime{}, nil, 0); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkPredictWait measures one queue wait-time prediction against a
+// deep queue — the latency a resource-selection client sees per candidate
+// system.
+func BenchmarkPredictWait(b *testing.B) {
+	queue, running := deepQueue()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := waitpred.PredictWait(0, target, queue, running, total,
-			sched.Backfill{}, predict.MaxRuntime{}, nil, 0); err != nil {
-			b.Fatal(err)
-		}
+		predictWait(b, queue, running)
+	}
+}
+
+// simWorkload is the ANL/40 trace BenchmarkSimRun simulates.
+func simWorkload(tb testing.TB) *workload.Workload {
+	tb.Helper()
+	w, err := workload.Study("ANL", 40, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+func simRun(tb testing.TB, w *workload.Workload) {
+	if _, err := sim.Run(w, sched.Backfill{}, predict.MaxRuntime{}, sim.Options{}); err != nil {
+		tb.Fatal(err)
 	}
 }
 
 // BenchmarkSimRun measures a full scheduling simulation (ANL/40, backfill,
 // maximum run times).
 func BenchmarkSimRun(b *testing.B) {
-	w, err := workload.Study("ANL", 40, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := simWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(w, sched.Backfill{}, predict.MaxRuntime{}, sim.Options{}); err != nil {
-			b.Fatal(err)
+		simRun(b, w)
+	}
+}
+
+// TestAllocationCeilings holds the allocs/op of the hot-path
+// microbenchmarks above as exact ceilings on the operations they time:
+// allocation counts are deterministic, so unlike ns/op they need no stored
+// baseline or statistics. A ceiling is the current count; lower it when an
+// optimisation lands, never raise it to admit a regression. Predict and
+// PredictDetailed (BenchmarkPredictParallel's per-op work and
+// BenchmarkPredictHotPathBaseline) are held at zero by internal/core's
+// TestPredictAllocationFree.
+func TestAllocationCeilings(t *testing.T) {
+	p, probe := warmedPredictor(t)
+	items := batchOf(probe)
+	// Trace ids below 256 box into the id formatter's interface without
+	// allocating; later ones cost one allocation each. Warm the tracer past
+	// them to hold the steady state the benchmark measures.
+	tr := trace.New(trace.WithSampleRate(1))
+	for i := 0; i < 256; i++ {
+		tracedPredict(t, tr, p, probe)
+	}
+	queue, running := deepQueue()
+	w := simWorkload(t)
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		op      func()
+	}{
+		{"PredictHotPathTracerDisabled", 0, func() { predictCtx(context.Background(), t, p, probe) }},
+		{"PredictHotPathTracerEnabled", 81, func() { tracedPredict(t, tr, p, probe) }},
+		{"PredictBatch", 12, func() { predictBatch(t, p, items) }},
+		{"PredictWait", 1593, func() { predictWait(t, queue, running) }},
+		{"SimRun", 3957, func() { simRun(t, w) }},
+	} {
+		if n := testing.AllocsPerRun(20, c.op); n > c.ceiling {
+			t.Errorf("%s: %v allocs per op, ceiling %v", c.name, n, c.ceiling)
 		}
 	}
 }

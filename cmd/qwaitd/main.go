@@ -30,6 +30,7 @@
 //
 // Job objects carry the Table-2 characteristics (user, executable, queue,
 // ...), nodes, and maxRunTime; see internal/service for the full schema.
+// A request body over 8 MiB is refused with 413.
 //
 // The category history lives in an internal/histstore store. Without
 // -data it is memory-only and lost on exit (POST /v1/checkpoint fails).
@@ -235,7 +236,7 @@ func defaultAdmitClass(classes map[string]admission.ClassConfig) string {
 }
 
 // build constructs the configured daemon without starting to listen.
-func build(args []string, stdout io.Writer) (*app, error) {
+func build(args []string, stdout io.Writer) (_ *app, err error) {
 	fs := flag.NewFlagSet("qwaitd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8642", "listen address")
 	nodes := fs.Int("nodes", 512, "machine size in nodes (for wait predictions)")
@@ -285,11 +286,15 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		opts []core.Option
 	)
 	if *dataDir != "" {
-		var err error
 		st, err = histstore.Open(*dataDir)
 		if err != nil {
 			return nil, fmt.Errorf("opening history store %s: %w", *dataDir, err)
 		}
+		defer func() {
+			if err != nil {
+				_ = st.Close() //lint:allow errdrop the build error is the one to report; the store was never handed out
+			}
+		}()
 		opts = append(opts, core.WithStore(st),
 			core.WithStoreErrorHandler(func(err error) {
 				fmt.Fprintln(os.Stderr, "qwaitd: history store insert failed:", err)
@@ -366,12 +371,8 @@ func build(args []string, stdout io.Writer) (*app, error) {
 		if *admitState {
 			cfg.StatePred = waitpred.NewStatePredictor(waitpred.DefaultStateTemplates(true))
 		}
-		// The headroom, overflow, and token-window knobs came straight off
-		// the command line; reject bad values before the class tables are
-		// installed.
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
+		// admission.New validates the knobs that came straight off the
+		// command line before it installs the class tables.
 		ctrl, err := admission.New(cfg)
 		if err != nil {
 			return nil, err

@@ -232,10 +232,18 @@ func TestBuildErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "requests 128 of 64 nodes") {
 		t.Errorf("oversized warm job: err = %v, want requests 128 of 64 nodes", err)
 	}
+	// The refused build closes the store it opened: the process holds no
+	// more file descriptors after it than before.
 	storeDir := filepath.Join(dir, "hist")
+	fdsBefore, countFDs := openFDs(t)
 	if _, err := build([]string{"-warm", bad, "-data", storeDir}, &sb); err == nil ||
 		!strings.Contains(err.Error(), "requests 128 of 64 nodes") {
 		t.Errorf("oversized warm job with -data: err = %v, want requests 128 of 64 nodes", err)
+	}
+	if countFDs {
+		if after, _ := openFDs(t); after > fdsBefore {
+			t.Errorf("refused -data build leaked %d file descriptors", after-fdsBefore)
+		}
 	}
 	st, err := histstore.Open(storeDir)
 	if err != nil {
@@ -249,6 +257,17 @@ func TestBuildErrors(t *testing.T) {
 	if n := st.Categories(); n != 0 {
 		t.Fatalf("refused warm trace left %d categories in the store", n)
 	}
+}
+
+// openFDs counts the process's open file descriptors, and reports false
+// where /proc/self/fd does not exist.
+func openFDs(t *testing.T) (int, bool) {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return 0, false
+	}
+	return len(ents), true
 }
 
 // TestServeAndShutdown drives the daemon's serve path end to end: bind a

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	repolint [-checks detrand,wallclock,...] [-C dir] [-require sym]... [packages]
+//	repolint [-checks detrand,wallclock,...] [-C dir] [packages]
 //
 // Packages default to ./... (the whole module). Diagnostics print as
 // file:line:col: message [check], with paths relative to the working
@@ -15,9 +15,6 @@
 // 2 on usage, load, or type-check errors — CI can therefore distinguish
 // "the tree has findings" from "the tool could not run".
 //
-// -require (repeatable) names entry points that must declare a
-// // hotpath: contract; the benchmark gate uses it in place of grepping
-// for annotations.
 // Suppress an individual finding with a justified directive:
 //
 //	//lint:allow wallclock measures real request latency
@@ -34,15 +31,6 @@ import (
 	"repro/internal/lint"
 )
 
-// stringList is a repeatable string flag.
-type stringList []string
-
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
 func main() {
 	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
 	if err != nil {
@@ -57,8 +45,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	checks := fs.String("checks", "all", "comma-separated checks to run (see -list)")
 	list := fs.Bool("list", false, "list the available checks and exit")
 	dir := fs.String("C", "", "run as if started in this directory (module root autodetected from it)")
-	var require stringList
-	fs.Var(&require, "require", "entry point that must declare a // hotpath: contract (repeatable): <import-path>.<Func> or <import-path>.<Type>.<Method>")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil
 	}
@@ -88,13 +74,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	diags, err := lint.Run(loader, analyzers, paths)
 	if err != nil {
 		return 2, err
-	}
-	if len(require) > 0 {
-		reqDiags, err := lint.CheckRequired(loader, require)
-		if err != nil {
-			return 2, err
-		}
-		diags = append(diags, reqDiags...)
 	}
 	relativize(diags)
 	for _, d := range diags {

@@ -103,35 +103,3 @@ func TestExitCodeTwoOnTypeError(t *testing.T) {
 		t.Fatalf("run over a broken tree = %d, %v; want exit 2 and an error", code, err)
 	}
 }
-
-// TestRequireContract pins the -require contract: a required entry point
-// without a // hotpath: annotation is a finding (exit 1), and a symbol
-// the type checker cannot resolve is a tool error (exit 2) — a rename
-// must fail the gate loudly, not retire the check.
-func TestRequireContract(t *testing.T) {
-	dir := writeTempModule(t, map[string]string{
-		"a.go": "package a\n\n// hotpath: no-lock no-clock\nfunc Fast() {}\n\nfunc Slow() {}\n",
-	})
-	var stdout, stderr bytes.Buffer
-	code, err := run([]string{"-C", dir, "-checks", "hotpath", "-require", "tmpmod.Fast", "./..."}, &stdout, &stderr)
-	if err != nil || code != 0 {
-		t.Fatalf("contracted entry point: run = %d, %v\n%s", code, err, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	code, err = run([]string{"-C", dir, "-checks", "hotpath", "-require", "tmpmod.Slow", "./..."}, &stdout, &stderr)
-	if err != nil || code != 1 {
-		t.Fatalf("uncontracted entry point: run = %d, %v; want exit 1\n%s", code, err, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "declares no // hotpath: contract") {
-		t.Errorf("missing-contract finding not printed:\n%s", stdout.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	code, err = run([]string{"-C", dir, "-checks", "hotpath", "-require", "tmpmod.Renamed", "./..."}, &stdout, &stderr)
-	if code != 2 || err == nil {
-		t.Fatalf("stale symbol: run = %d, %v; want exit 2 and an error", code, err)
-	}
-}

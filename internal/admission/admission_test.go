@@ -446,23 +446,46 @@ func TestClassifierOverride(t *testing.T) {
 	}
 }
 
-// BenchmarkAdmissionDecide measures the pure decision path — the part on
-// the scheduler's submission hot path (estimation excluded, as in a
-// deployment where the estimate is computed asynchronously or cached).
-func BenchmarkAdmissionDecide(b *testing.B) {
+// decideController is the controller BenchmarkAdmissionDecide drives: the
+// test classes with an unlimited token bucket on "standard", so every
+// decision takes the same path.
+func decideController(tb testing.TB) (*Controller, *workload.Job) {
+	tb.Helper()
 	cfg := testConfig()
 	cfg.Classes["standard"] = ClassConfig{WaitBudgetSec: 3600, Sheddable: true, TokensPerWindow: 1 << 40}
 	c, err := New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	jb := job(1, 2, 600, "standard")
+	return c, job(1, 2, 600, "standard")
+}
+
+// decideAt is the i-th decision BenchmarkAdmissionDecide times.
+func decideAt(tb testing.TB, c *Controller, jb *workload.Job, i int) {
+	if d := c.Decide(int64(i), jb, int64(i)%7200, true); d.Class == "" {
+		tb.Fatal("empty class")
+	}
+}
+
+// BenchmarkAdmissionDecide measures the pure decision path — the part on
+// the scheduler's submission hot path (estimation excluded, as in a
+// deployment where the estimate is computed asynchronously or cached).
+func BenchmarkAdmissionDecide(b *testing.B) {
+	c, jb := decideController(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := c.Decide(int64(i), jb, int64(i)%7200, true)
-		if d.Class == "" {
-			b.Fatal("empty class")
-		}
+		decideAt(b, c, jb, i)
+	}
+}
+
+// TestDecideAllocationFree holds BenchmarkAdmissionDecide's operation at
+// zero allocations. Decide's // hotpath: contract rules out locks and the
+// clock; this test rules out the heap.
+func TestDecideAllocationFree(t *testing.T) {
+	c, jb := decideController(t)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() { decideAt(t, c, jb, i); i++ }); n != 0 {
+		t.Errorf("Decide: %v allocs per decision, want 0", n)
 	}
 }

@@ -31,11 +31,12 @@ func warmed(t *testing.T) (p *Predictor, probes []*workload.Job) {
 	return p, probes
 }
 
-// TestPredictAllocationFree pins the hot path's allocation contract in
-// go test, not only in the bench gate: Predict allocates nothing, at
-// submit and for running jobs (the age-conditioned estimate), and neither
-// does PredictDetailed, whose winning key is the string the category is
-// stored under.
+// TestPredictAllocationFree pins the hot path's allocation contract:
+// Predict allocates nothing, at submit and for running jobs (the
+// age-conditioned estimate), and neither does PredictDetailed, whose
+// winning key is the string the category is stored under. It holds the
+// operations of BenchmarkPredictParallel and
+// BenchmarkPredictHotPathBaseline.
 func TestPredictAllocationFree(t *testing.T) {
 	p, probes := warmed(t)
 	hits := 0

@@ -184,8 +184,8 @@ func (p *Predictor) Predict(j *workload.Job, age int64) (int64, bool) {
 // category key is the string the store's category handle carries, so
 // reporting it copies no bytes.
 //
-// The hotpath contract below is the static half of the benchmark
-// trajectory's claim (BENCH_<pr>.json, DESIGN.md §10–§11): no call path
+// The hotpath contract below is the static half of
+// TestPredictAllocationFree (DESIGN.md §10–§11): no call path
 // from here may acquire a mutex, block on a channel, read the wall clock,
 // or allocate. Category keys are rendered into a stack buffer and probe
 // the category tables without becoming strings, and the estimate streams

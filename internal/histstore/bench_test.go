@@ -19,6 +19,59 @@ func benchKeys(n int) [][]byte {
 	return keys
 }
 
+// History bounds: the streaming benchmarks' categories, and the largest
+// default bound.
+const (
+	benchBound    = 1024
+	fullRingBound = 16384
+)
+
+// insert is the unit the insert benchmarks time: one point, its run time
+// drawn from rng, into category k under bound.
+func insert(tb testing.TB, s *Store, k []byte, bound int, rng *rand.Rand) {
+	if err := s.Insert(k, bound, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// insertRandom is one streaming insert, into a category drawn from keys.
+func insertRandom(tb testing.TB, s *Store, keys [][]byte, rng *rand.Rand) {
+	insert(tb, s, keys[rng.Intn(len(keys))], benchBound, rng)
+}
+
+// readRandom is one category read as the predictor makes it: a lock-free
+// Get of a key drawn from keys, then the category's finalized moments.
+func readRandom(s *Store, keys [][]byte, rng *rand.Rand) {
+	if c, _, ok := s.Get(keys[rng.Intn(len(keys))]); ok {
+		_, _, _ = c.AbsStats()
+	}
+}
+
+// warmStore fills s with 1<<14 seeded streaming inserts over 4096 keys, the
+// history the read benchmarks probe, and returns the keys.
+func warmStore(tb testing.TB, s *Store) [][]byte {
+	tb.Helper()
+	keys := benchKeys(4096)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1<<14; i++ {
+		insertRandom(tb, s, keys, rng)
+	}
+	return keys
+}
+
+// fullRings fills 16 categories of s to fullRingBound points, so every
+// further insert into them evicts, and returns their keys.
+func fullRings(tb testing.TB, s *Store, rng *rand.Rand) [][]byte {
+	tb.Helper()
+	keys := benchKeys(16)
+	for _, k := range keys {
+		for i := 0; i < fullRingBound; i++ {
+			insert(tb, s, k, fullRingBound, rng)
+		}
+	}
+	return keys
+}
+
 // BenchmarkStoreInsert measures parallel streaming inserts into the
 // sharded in-memory store — the per-completion cost of the online path.
 func BenchmarkStoreInsert(b *testing.B) {
@@ -29,10 +82,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(ctr.Add(1)))
 		for pb.Next() {
-			k := keys[rng.Intn(len(keys))]
-			if err := s.Insert(k, 1024, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
-				b.Fatal(err)
-			}
+			insertRandom(b, s, keys, rng)
 		}
 	})
 }
@@ -43,39 +93,23 @@ func BenchmarkStoreInsert(b *testing.B) {
 // daemon, where each copy-on-write successor copies what holds the head
 // slot.
 func BenchmarkStoreInsertFullRing(b *testing.B) {
-	const bound = 16384
 	s := New()
-	keys := benchKeys(16)
 	rng := rand.New(rand.NewSource(1))
-	for _, k := range keys {
-		for i := 0; i < bound; i++ {
-			if err := s.Insert(k, bound, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	keys := fullRings(b, s, rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Insert(keys[i%len(keys)], bound, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
-			b.Fatal(err)
-		}
+		insert(b, s, keys[i%len(keys)], fullRingBound, rng)
 	}
 }
 
 // BenchmarkStoreInsertPredict interleaves writers and readers 1:4 — the
 // production mix, where every submission triggers a fan-out of category
-// reads while completions stream in.
+// reads while completions stream in. Goroutine ids that are multiples of 5
+// write, so at -cpu 1 the single goroutine only reads.
 func BenchmarkStoreInsertPredict(b *testing.B) {
 	s := New()
-	keys := benchKeys(4096)
-	warm := rand.New(rand.NewSource(1))
-	for i := 0; i < 1<<14; i++ {
-		k := keys[warm.Intn(len(keys))]
-		if err := s.Insert(k, 1024, pt(float64(1+warm.Intn(5000)), 6000, 8)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	keys := warmStore(b, s)
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -84,17 +118,10 @@ func BenchmarkStoreInsertPredict(b *testing.B) {
 		rng := rand.New(rand.NewSource(id))
 		write := id%5 == 0
 		for pb.Next() {
-			i := rng.Intn(len(keys))
 			if write {
-				if err := s.Insert(keys[i], 1024, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
-					b.Fatal(err)
-				}
-				continue
-			}
-			if c, _, ok := s.Get(keys[i]); ok {
-				mean, v := c.Abs().MeanVar()
-				_ = mean
-				_ = v
+				insertRandom(b, s, keys, rng)
+			} else {
+				readRandom(s, keys, rng)
 			}
 		}
 	})
@@ -106,14 +133,7 @@ func BenchmarkStoreInsertPredict(b *testing.B) {
 // stay allocation-free.
 func BenchmarkStoreGet(b *testing.B) {
 	s := New()
-	keys := benchKeys(4096)
-	warm := rand.New(rand.NewSource(1))
-	for i := 0; i < 1<<14; i++ {
-		k := keys[warm.Intn(len(keys))]
-		if err := s.Insert(k, 1024, pt(float64(1+warm.Intn(5000)), 6000, 8)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	keys := warmStore(b, s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -129,24 +149,14 @@ func BenchmarkStoreGet(b *testing.B) {
 // snapshots, so per-op time should not degrade as readers are added.
 func BenchmarkStoreGetParallel(b *testing.B) {
 	s := New()
-	keys := benchKeys(4096)
-	warm := rand.New(rand.NewSource(1))
-	for i := 0; i < 1<<14; i++ {
-		k := keys[warm.Intn(len(keys))]
-		if err := s.Insert(k, 1024, pt(float64(1+warm.Intn(5000)), 6000, 8)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	keys := warmStore(b, s)
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(ctr.Add(1)))
 		for pb.Next() {
-			c, _, ok := s.Get(keys[rng.Intn(len(keys))])
-			if ok {
-				_, _, _ = c.AbsStats()
-			}
+			readRandom(s, keys, rng)
 		}
 	})
 }
@@ -165,10 +175,7 @@ func BenchmarkStoreInsertDurable(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(ctr.Add(1)))
 		for pb.Next() {
-			k := keys[rng.Intn(len(keys))]
-			if err := s.Insert(k, 1024, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
-				b.Fatal(err)
-			}
+			insertRandom(b, s, keys, rng)
 		}
 	})
 }
@@ -184,15 +191,53 @@ func BenchmarkSnapshot(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	keys := benchKeys(2048)
 	for i := 0; i < 1<<15; i++ {
-		k := keys[rng.Intn(len(keys))]
-		if err := s.Insert(k, 64, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
-			b.Fatal(err)
-		}
+		insert(b, s, keys[rng.Intn(len(keys))], 64, rng)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Snapshot(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestAllocationCeilings holds the allocs/op of the store benchmarks above
+// as ceilings on the operations they time, run serially. Store.Get alone is
+// held at zero by TestStoreGetByteKey. The parallel benchmarks' per-op work
+// is the serial read and insert. Streaming inserts amortize their
+// allocations (a category header per insert, a tail chunk or key-table
+// clone now and then), so their rows average a fixed seeded sequence of
+// 4096 inserts into a warmed store.
+func TestAllocationCeilings(t *testing.T) {
+	mem := New()
+	keys := warmStore(t, mem)
+	dur, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := dur.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	warmStore(t, dur)
+	rng := rand.New(rand.NewSource(2))
+	ring := New()
+	ringKeys := fullRings(t, ring, rng)
+	i := 0
+	for _, c := range []struct {
+		name    string
+		runs    int
+		ceiling float64
+		op      func()
+	}{
+		{"read (StoreGetParallel, StoreInsertPredict)", 100, 0, func() { readRandom(mem, keys, rng) }},
+		{"StoreInsert", 4096, 1, func() { insertRandom(t, mem, keys, rng) }},
+		{"StoreInsertDurable", 4096, 3, func() { insertRandom(t, dur, keys, rng) }},
+		{"StoreInsertFullRing", 100, 3, func() { insert(t, ring, ringKeys[i%len(ringKeys)], fullRingBound, rng); i++ }},
+	} {
+		if n := testing.AllocsPerRun(c.runs, c.op); n > c.ceiling {
+			t.Errorf("%s: %v allocs per op, ceiling %v", c.name, n, c.ceiling)
 		}
 	}
 }

@@ -45,10 +45,10 @@ import (
 // warm-up-only paths whose cost is not on the steady-state hot path; the
 // justification is mandatory.
 //
-// This is the static counterpart of the benchmark trajectory: the bench
-// gate proves the entry points allocation-free on the configurations it
-// runs; this analyzer proves no code path — measured or not — can
-// reintroduce a lock, allocation, or clock read.
+// This is the static counterpart of the allocation tests: they show the
+// entry points allocation-free on the operations they run; this analyzer
+// proves no code path — measured or not — can reintroduce a lock,
+// allocation, or clock read.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc: "functions declaring a // hotpath: contract must not reach locks, " +

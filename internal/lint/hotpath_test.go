@@ -111,3 +111,41 @@ func TestHotPathMalformedAnnotations(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckRequired pins CheckRequired's contract over the hotpath
+// fixture: a contracted entry point passes, an uncontracted or exempt one
+// is a finding, and a symbol the type checker cannot resolve is an error,
+// so a rename fails loudly instead of retiring the check.
+func TestCheckRequired(t *testing.T) {
+	loader, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader.SetFixtureDir(filepath.Join("testdata", "src"))
+	for _, c := range []struct {
+		sym, finding string
+		stale        bool
+	}{
+		{sym: "hotpath/a.Predict"},
+		{sym: "hotpath/a.helper", finding: "declares no // hotpath: contract"},
+		{sym: "hotpath/a.instrument", finding: "is marked 'hotpath: exempt'"},
+		{sym: "hotpath/a.Renamed", stale: true},
+	} {
+		diags, err := CheckRequired(loader, []string{c.sym})
+		if c.stale {
+			if err == nil {
+				t.Errorf("%s: stale symbol gave %v and no error", c.sym, diags)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.sym, err)
+		}
+		switch {
+		case c.finding == "" && len(diags) != 0:
+			t.Errorf("%s: contracted entry point gave findings %v", c.sym, diags)
+		case c.finding != "" && (len(diags) != 1 || !strings.Contains(diags[0].Message, c.finding)):
+			t.Errorf("%s: findings %v, want one containing %q", c.sym, diags, c.finding)
+		}
+	}
+}

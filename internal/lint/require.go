@@ -15,11 +15,9 @@ import (
 //	<import-path>.<Type>.<Method>
 //
 // e.g. repro/internal/core.Predictor.PredictDetailed. An unresolvable
-// symbol is an error (the list itself is stale), not a finding — the
-// caller should exit 2, the "tool could not run" status, so a rename
-// cannot silently retire the contract check. The benchmark gate drives
-// this through `repolint -checks hotpath -require ...` instead of
-// grepping for annotation text.
+// symbol is an error (the list itself is stale), not a finding, so a
+// rename cannot silently retire the contract check. TestRepoIsClean
+// checks the entry points whose benchmarks have allocation tests.
 func CheckRequired(loader *Loader, symbols []string) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, sym := range symbols {
@@ -29,7 +27,7 @@ func CheckRequired(loader *Loader, symbols []string) ([]Diagnostic, error) {
 		}
 		fd := declOf(loader, fn)
 		if fd == nil {
-			return nil, fmt.Errorf("lint: -require %s: no source declaration (external or generated symbol?)", sym)
+			return nil, fmt.Errorf("lint: required entry point %s: no source declaration (external or generated symbol?)", sym)
 		}
 		mask, exempt := hotpathContract(fd.Doc)
 		switch {
@@ -49,7 +47,7 @@ func CheckRequired(loader *Loader, symbols []string) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// resolveSymbol parses and resolves one -require symbol. The import path
+// resolveSymbol parses and resolves one required symbol. The import path
 // runs up to the first dot after the last slash; one trailing name is a
 // package function, two are a type and its method.
 func resolveSymbol(loader *Loader, sym string) (*types.Func, error) {
@@ -60,35 +58,35 @@ func resolveSymbol(loader *Loader, sym string) (*types.Func, error) {
 	}
 	parts := strings.Split(tail, ".")
 	if len(parts) < 2 || len(parts) > 3 {
-		return nil, fmt.Errorf("lint: -require %q: want <import-path>.<Func> or <import-path>.<Type>.<Method>", sym)
+		return nil, fmt.Errorf("lint: required entry point %q: want <import-path>.<Func> or <import-path>.<Type>.<Method>", sym)
 	}
 	path := prefix + parts[0]
 	pkg, err := loader.Load(path)
 	if err != nil {
-		return nil, fmt.Errorf("lint: -require %s: %w", sym, err)
+		return nil, fmt.Errorf("lint: required entry point %s: %w", sym, err)
 	}
 	scope := pkg.Types.Scope()
 	if len(parts) == 2 {
 		fn, ok := scope.Lookup(parts[1]).(*types.Func)
 		if !ok {
-			return nil, fmt.Errorf("lint: -require %s: %s is not a function in %s", sym, parts[1], path)
+			return nil, fmt.Errorf("lint: required entry point %s: %s is not a function in %s", sym, parts[1], path)
 		}
 		return fn, nil
 	}
 	tn, ok := scope.Lookup(parts[1]).(*types.TypeName)
 	if !ok {
-		return nil, fmt.Errorf("lint: -require %s: %s is not a type in %s", sym, parts[1], path)
+		return nil, fmt.Errorf("lint: required entry point %s: %s is not a type in %s", sym, parts[1], path)
 	}
 	named, ok := tn.Type().(*types.Named)
 	if !ok {
-		return nil, fmt.Errorf("lint: -require %s: %s is not a named type", sym, parts[1])
+		return nil, fmt.Errorf("lint: required entry point %s: %s is not a named type", sym, parts[1])
 	}
 	for i := 0; i < named.NumMethods(); i++ {
 		if m := named.Method(i); m.Name() == parts[2] {
 			return m, nil
 		}
 	}
-	return nil, fmt.Errorf("lint: -require %s: %s has no method %s", sym, parts[1], parts[2])
+	return nil, fmt.Errorf("lint: required entry point %s: %s has no method %s", sym, parts[1], parts[2])
 }
 
 // declOf finds the FuncDecl of a function in the loader's syntax trees.

@@ -8,12 +8,27 @@ import (
 	"repro/internal/lint"
 )
 
+// requiredContracts are the hot-path entry points whose benchmarks have
+// allocation tests: each must declare a // hotpath: contract, so the
+// hotpath analyzer proves statically what those tests measure. A renamed
+// or deleted entry makes TestRepoIsClean fail with an error rather than
+// silently retire the contract.
+var requiredContracts = []string{
+	"repro/internal/core.Predictor.Predict",
+	"repro/internal/core.Predictor.PredictDetailed",
+	"repro/internal/core.Predictor.PredictDetailedBatch",
+	"repro/internal/histstore.Store.Get",
+	"repro/internal/admission.Controller.Decide",
+	"repro/internal/obs/accuracy.stream.scoreSample",
+}
+
 // TestRepoIsClean runs every analyzer over the real module tree and
 // requires zero diagnostics, pinning the invariant that `repolint ./...`
 // stays clean: any new wall-clock read or global rand draw in a
 // deterministic package, dropped error, lock or context misuse, unbounded
-// daemon state, or unvalidated durable input fails the ordinary test
-// suite, not just the lint CI step. It is the suite's only whole-tree run.
+// daemon state, or a required entry point without a // hotpath: contract
+// fails the ordinary test suite, not just the lint CI step. It is the
+// suite's only whole-tree run.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
@@ -31,7 +46,11 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range diags {
+	required, err := lint.CheckRequired(loader, requiredContracts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range append(diags, required...) {
 		t.Errorf("repolint finding on the real tree: %s", d)
 	}
 }

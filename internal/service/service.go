@@ -43,6 +43,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -377,15 +378,24 @@ func errorJSON(w http.ResponseWriter, status int, format string, args ...interfa
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decode reads a JSON request body into v.
+// maxBodyBytes bounds one request body, so no request can make the daemon
+// buffer unbounded input. It is over four times a full maxPredictBatch
+// batch of SWF-shaped jobs (~1.7 MiB; see TestPredictBatchEndpoint).
+const maxBodyBytes = 8 << 20
+
+// decode reads a JSON request body of at most maxBodyBytes into v.
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			errorJSON(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+			return false
+		}
 		errorJSON(w, http.StatusBadRequest, "bad request: %v", err)
 		return false
 	}

@@ -135,9 +135,16 @@ func TestPredictBatchEndpoint(t *testing.T) {
 		t.Fatalf("empty batch returned %d results", len(br.Results))
 	}
 
-	// Oversized batches are rejected up front.
-	resp = post(t, ts.URL+"/v1/predict/batch",
-		PredictBatchRequest{Jobs: make([]PredictRequest, maxPredictBatch+1)}, nil)
+	// Oversized batches are rejected up front, by the batch cap and not the
+	// body bound: one job over the cap, each carrying every field an SWF
+	// trace fills, still fits in maxBodyBytes.
+	over := make([]PredictRequest, maxPredictBatch+1)
+	for i := range over {
+		over[i] = PredictRequest{Job: JobJSON{ID: 1000000 + i, Queue: "q12", User: "u12345",
+			Executable: "e12345", Nodes: 1024, SubmitTime: 31536000 + int64(i), RunTime: 172800,
+			MaxRunTime: 259200, StartTime: 31622400 + int64(i)}, Age: 86400}
+	}
+	resp = post(t, ts.URL+"/v1/predict/batch", PredictBatchRequest{Jobs: over}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d, want 400", resp.StatusCode)
 	}
@@ -224,15 +231,39 @@ func TestObserveValidation(t *testing.T) {
 			t.Fatalf("%s observe changed durable state: %+v, want %+v", tc.name, got, before)
 		}
 	}
-	// Unknown fields rejected.
-	raw := bytes.NewReader([]byte(`{"job":{"id":1,"nodes":1,"runTime":10},"bogus":true}`))
-	r, err := http.Post(ts.URL+"/v1/observe", "application/json", raw)
-	if err != nil {
-		t.Fatal(err)
+	// Raw bodies: unknown fields are rejected, and so is a body over
+	// maxBodyBytes. Leading whitespace pads a body to its size, so the
+	// decoder must read every byte to reach the JSON value.
+	valid := `{"job":{"id":9,"user":"b","executable":"b/app","nodes":4,"runTime":600}}`
+	padded := func(n int) []byte {
+		return append(bytes.Repeat([]byte(" "), n-len(valid)), valid...)
 	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d", r.StatusCode)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"unknown field", []byte(`{"job":{"id":1,"nodes":1,"runTime":10},"bogus":true}`), http.StatusBadRequest},
+		{"one byte over the body bound", padded(maxBodyBytes + 1), http.StatusRequestEntityTooLarge},
+		{"exactly the body bound", padded(maxBodyBytes), http.StatusOK},
+	} {
+		r, err := http.Post(ts.URL+"/v1/observe", "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.name, r.StatusCode, tc.want)
+		}
+		after := state()
+		if tc.want == http.StatusOK {
+			if after.observations != before.observations+1 {
+				t.Fatalf("%s: %d observations, want %d", tc.name, after.observations, before.observations+1)
+			}
+			before = after
+		} else if after != before {
+			t.Fatalf("%s observe changed durable state: %+v, want %+v", tc.name, after, before)
+		}
 	}
 	// GET rejected.
 	g, err := http.Get(ts.URL + "/v1/observe")
