@@ -365,7 +365,7 @@ func (st *classState) takeToken(now, window int64) bool {
 // touches is atomic, and the decision clock is the caller's (simulated
 // or wall) time.
 //
-// hotpath: no-lock no-clock
+// hotpath: no-lock no-alloc no-clock
 func (c *Controller) Decide(now int64, j *workload.Job, predictedWait int64, havePrediction bool) Decision {
 	st := c.classOf(j)
 	c.mDecisions.Inc()

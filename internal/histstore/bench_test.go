@@ -105,8 +105,9 @@ func BenchmarkStoreInsertFullRing(b *testing.B) {
 
 // BenchmarkStoreInsertPredict interleaves writers and readers 1:4 — the
 // production mix, where every submission triggers a fan-out of category
-// reads while completions stream in. Goroutine ids that are multiples of 5
-// write, so at -cpu 1 the single goroutine only reads.
+// reads while completions stream in. Each goroutine draws write or read
+// per operation from its own rng, so the mix holds at every -cpu,
+// including a single goroutine.
 func BenchmarkStoreInsertPredict(b *testing.B) {
 	s := New()
 	keys := warmStore(b, s)
@@ -114,11 +115,9 @@ func BenchmarkStoreInsertPredict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		id := ctr.Add(1)
-		rng := rand.New(rand.NewSource(id))
-		write := id%5 == 0
+		rng := rand.New(rand.NewSource(ctr.Add(1)))
 		for pb.Next() {
-			if write {
+			if rng.Intn(5) == 0 {
 				insertRandom(b, s, keys, rng)
 			} else {
 				readRandom(s, keys, rng)
@@ -231,7 +230,7 @@ func TestAllocationCeilings(t *testing.T) {
 		ceiling float64
 		op      func()
 	}{
-		{"read (StoreGetParallel, StoreInsertPredict)", 100, 0, func() { readRandom(mem, keys, rng) }},
+		{"read (StoreGetParallel; StoreInsertPredict's reads)", 100, 0, func() { readRandom(mem, keys, rng) }},
 		{"StoreInsert", 4096, 1, func() { insertRandom(t, mem, keys, rng) }},
 		{"StoreInsertDurable", 4096, 3, func() { insertRandom(t, dur, keys, rng) }},
 		{"StoreInsertFullRing", 100, 3, func() { insert(t, ring, ringKeys[i%len(ringKeys)], fullRingBound, rng); i++ }},

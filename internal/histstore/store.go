@@ -369,22 +369,18 @@ func (v *shardView) withKey(key string, h *catHandle) *shardView {
 // as long as it likes, but must not modify it.
 //
 // hotpath: no-lock no-alloc no-clock
-func (s *Store) Get(key []byte) (c *Category, stored string, ok bool) {
-	m := s.metrics.Load()
-	var start time.Time
-	if m != nil {
-		start = time.Now() //lint:allow hotpath self-instrumentation: the predict-latency metric needs the clock; skipped when metrics are off
+func (s *Store) Get(key []byte) (*Category, string, bool) {
+	h, ok := s.shardOf(key).loadView().cats[string(key)]
+	if !ok {
+		return nil, "", false
 	}
-	c, stored, ok = s.get(key)
-	if m != nil {
-		m.predictLat.Observe(time.Since(start).Seconds()) //lint:allow hotpath self-instrumentation clock read; skipped when metrics are off
-	}
-	return c, stored, ok
+	return h.cur.Load(), h.key, true
 }
 
 // GetCtx is Get with the lookup recorded as a child span of the trace
-// active in ctx ("histstore.view", category and hit attributes). Without
-// an active trace it is exactly Get.
+// active in ctx ("histstore.view", category and hit attributes) and timed
+// into histstore.predict.latency_seconds. Without an active trace it is
+// exactly Get, so the latency histogram counts traced lookups only.
 //
 // hotpath: exempt span plumbing runs only when a trace is sampled; untraced requests take Get directly
 func (s *Store) GetCtx(ctx context.Context, key []byte) (*Category, string, bool) {
@@ -392,7 +388,11 @@ func (s *Store) GetCtx(ctx context.Context, key []byte) (*Category, string, bool
 	if sp == nil {
 		return s.Get(key)
 	}
+	start := time.Now()
 	c, stored, ok := s.Get(key)
+	if m := s.metrics.Load(); m != nil {
+		m.predictLat.Observe(time.Since(start).Seconds())
+	}
 	if ok {
 		sp.SetAttr("category", stored)
 	} else {
@@ -401,15 +401,6 @@ func (s *Store) GetCtx(ctx context.Context, key []byte) (*Category, string, bool
 	}
 	sp.End()
 	return c, stored, ok
-}
-
-// get is the uninstrumented snapshot lookup.
-func (s *Store) get(key []byte) (*Category, string, bool) {
-	h, ok := s.shardOf(key).loadView().cats[string(key)]
-	if !ok {
-		return nil, "", false
-	}
-	return h.cur.Load(), h.key, true
 }
 
 // Put installs a fully built category under key, replacing any existing

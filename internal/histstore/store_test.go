@@ -1,6 +1,7 @@
 package histstore
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 )
 
 func pt(rt, maxRT, nodes float64) Point {
@@ -229,8 +231,21 @@ func TestStoreConcurrentInsertPredict(t *testing.T) {
 	if snap.Histograms["histstore.insert.latency_seconds"].Count != writers*inserts {
 		t.Fatalf("insert latency count = %d", snap.Histograms["histstore.insert.latency_seconds"].Count)
 	}
-	if snap.Histograms["histstore.predict.latency_seconds"].Count != readers*inserts {
-		t.Fatalf("predict latency count = %d", snap.Histograms["histstore.predict.latency_seconds"].Count)
+	// The lookup latency histogram counts traced lookups only: the
+	// readers' untraced Gets above read no clock and record nothing.
+	if n := snap.Histograms["histstore.predict.latency_seconds"].Count; n != 0 {
+		t.Fatalf("predict latency count after untraced reads = %d, want 0", n)
+	}
+	tr := trace.New(trace.WithSampleRate(1))
+	const traced = 5
+	for i := 0; i < traced; i++ {
+		ctx, root := tr.StartRoot(context.Background(), "test.get")
+		s.GetCtx(ctx, []byte(fmt.Sprintf("cat-%d", i)))
+		root.End()
+	}
+	s.GetCtx(context.Background(), []byte("cat-0")) // untraced: not counted
+	if n := reg.Snapshot().Histograms["histstore.predict.latency_seconds"].Count; n != traced {
+		t.Fatalf("predict latency count after %d traced lookups = %d", traced, n)
 	}
 }
 

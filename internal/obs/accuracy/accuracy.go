@@ -97,7 +97,7 @@ type stream struct {
 // any notion of time itself, and no lock is taken beyond the histograms'
 // one-time lint-allowed seeding.
 //
-// hotpath: no-lock no-clock
+// hotpath: no-lock no-alloc no-clock
 func (s *stream) scoreSample(e float64) {
 	s.err.Add(e)
 	s.absErr.Observe(math.Abs(e))

@@ -25,7 +25,7 @@ func recordOne(tr *Tracker, errs []float64, i int) {
 
 // BenchmarkAccuracyRecord times one completion through a tracker stream:
 // the scoring core (Welford moments, histograms, sign counts, tail state —
-// the // hotpath: no-lock no-clock region) plus the window ring and the
+// the // hotpath: no-lock no-alloc no-clock region) plus the window ring and the
 // Welch-t drift test. This is the per-completion cost every serving and
 // shadow stream pays.
 func BenchmarkAccuracyRecord(b *testing.B) {

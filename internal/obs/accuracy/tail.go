@@ -29,7 +29,7 @@ import (
 // stream exclusively, no clock is read, no lock is taken beyond the
 // histograms' one-time lint-allowed seeding).
 //
-// hotpath: no-lock no-clock
+// hotpath: no-lock no-alloc no-clock
 func (s *stream) scoreTail(e float64) {
 	switch {
 	case e > 0:

@@ -424,7 +424,7 @@ func (t *Tracer) finish(tr Trace, dur time.Duration) {
 		}
 		return
 	}
-	tr.ID = fmt.Sprintf("%016x", t.nextID.Add(1))
+	tr.ID = formatID(t.nextID.Add(1))
 	t.mu.Lock()
 	if len(t.ring) < t.capacity {
 		t.ring = append(t.ring, tr)
@@ -436,6 +436,18 @@ func (t *Tracer) finish(tr Trace, dur time.Duration) {
 	if m != nil {
 		m.tracesKept.Inc()
 	}
+}
+
+// formatID renders a trace id as 16 zero-padded lowercase hex digits, the
+// format of fmt's "%016x", without boxing the id into an interface.
+func formatID(id uint64) string {
+	var buf [16]byte
+	n := len(strconv.AppendUint(buf[:0], id, 16))
+	copy(buf[16-n:], buf[:n])
+	for i := 0; i < 16-n; i++ {
+		buf[i] = '0'
+	}
+	return string(buf[:])
 }
 
 // Recent returns the kept traces, newest first. A nil tracer returns nil.

@@ -259,3 +259,39 @@ func TestConcurrentChildren(t *testing.T) {
 		t.Fatalf("recorded %d spans, want %d", len(got.Spans), 1+8*50)
 	}
 }
+
+// TestTraceIDFormat pins the trace id format — 16 zero-padded lowercase
+// hex digits, as fmt's "%016x" — across the 255→256 boundary, where the
+// id gains a third digit, and at the ends of the range; and checks that
+// kept traces carry consecutive ids in that format.
+func TestTraceIDFormat(t *testing.T) {
+	for _, c := range []struct {
+		id   uint64
+		want string
+	}{
+		{0, "0000000000000000"},
+		{1, "0000000000000001"},
+		{255, "00000000000000ff"},
+		{256, "0000000000000100"},
+		{257, "0000000000000101"},
+		{0xdeadbeef, "00000000deadbeef"},
+		{1<<64 - 1, "ffffffffffffffff"},
+	} {
+		if got := formatID(c.id); got != c.want {
+			t.Errorf("formatID(%d) = %q, want %q", c.id, got, c.want)
+		}
+	}
+	tr := New(WithSampleRate(1), WithCapacity(4))
+	for i := 0; i < 258; i++ {
+		_, root := tr.StartRoot(context.Background(), "root")
+		root.End()
+	}
+	var ids []string
+	for _, k := range tr.Recent() {
+		ids = append(ids, k.ID)
+	}
+	want := "0000000000000102 0000000000000101 0000000000000100 00000000000000ff"
+	if got := strings.Join(ids, " "); got != want {
+		t.Fatalf("kept ids, newest first = %s, want %s", got, want)
+	}
+}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -127,26 +129,10 @@ func (b Backfill) Name() string {
 // the predicted completion times of the running jobs, starting every job
 // whose earliest feasible start is now.
 func (b Backfill) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
-	// The usable capacity is reconstructed from the caller's free count plus
-	// the nodes held by running jobs, so the profile stays consistent with
-	// the caller even if `total` disagrees (e.g. drained nodes).
-	capacity := free
-	for _, r := range running {
-		capacity += r.Nodes
-	}
-	p := NewProfile(now, capacity)
-	for _, r := range running {
-		age := now - r.StartTime
-		end := r.StartTime + est(r, age)
-		if end <= now {
-			end = now + 1 // a running job occupies its nodes at least an instant longer
-		}
-		// The profile starts with the full machine, so allocating every
-		// running job reproduces the current free count at `now`.
-		if err := p.Allocate(now, end, r.Nodes); err != nil {
-			// Inconsistent running set; fail safe by starting nothing.
-			return nil
-		}
+	p := runningProfile(now, running, free, est, 2*len(queue))
+	if p == nil {
+		// Inconsistent running set; fail safe by starting nothing.
+		return nil
 	}
 
 	var picked []*workload.Job
@@ -171,6 +157,51 @@ func (b Backfill) Pick(now int64, queue, running []*workload.Job, free, total in
 		}
 	}
 	return picked
+}
+
+// runningProfile is the availability profile from now on of a machine with
+// `free` idle nodes whose running jobs release their nodes at their
+// decision-estimated ends (at least an instant after now): a step function
+// that starts at free and rises by each job's nodes at its end. It is built
+// from one sort of the (end, nodes) pairs, with room for `extra` further
+// breakpoints so the caller's allocations do not grow it. The result is the
+// profile that allocating every running job from now to its end on a
+// machine of free plus the running nodes would give. Like those
+// allocations, it fails (nil) when a running job holds no nodes, or when
+// free < 0 and there is a running job to allocate.
+func runningProfile(now int64, running []*workload.Job, free int, est sim.Estimator, extra int) *Profile {
+	if free < 0 && len(running) > 0 {
+		return nil
+	}
+	type release struct {
+		end   int64
+		nodes int
+	}
+	rel := make([]release, len(running))
+	for i, r := range running {
+		if r.Nodes <= 0 {
+			return nil
+		}
+		end := r.StartTime + est(r, now-r.StartTime)
+		if end <= now {
+			end = now + 1 // a running job occupies its nodes at least an instant longer
+		}
+		rel[i] = release{end, r.Nodes}
+	}
+	slices.SortFunc(rel, func(a, b release) int { return cmp.Compare(a.end, b.end) })
+	n := 1 + len(running) + extra
+	p := &Profile{times: make([]int64, 1, n), free: make([]int, 1, n)}
+	p.times[0], p.free[0] = now, free
+	last := 0
+	for _, r := range rel {
+		if r.end != p.times[last] {
+			p.times = append(p.times, r.end)
+			p.free = append(p.free, p.free[last])
+			last++
+		}
+		p.free[last] += r.nodes
+	}
+	return p
 }
 
 // Static interface checks.

@@ -2,7 +2,11 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func TestProfileBasics(t *testing.T) {
@@ -209,5 +213,107 @@ func TestMinMaxFree(t *testing.T) {
 	}
 	if p.MaxFree() != 8 || p.MinFree() != 3 {
 		t.Fatalf("MaxFree=%d MinFree=%d", p.MaxFree(), p.MinFree())
+	}
+}
+
+// allocatedProfile is the oracle for runningProfile: the profile that the
+// per-job Allocate loops build on a machine of free plus the running nodes,
+// with the book's reservations allocated first (as ReservingBackfill.Pick
+// once did) and then every running job from now to its estimated end. nil
+// when an allocation fails.
+func allocatedProfile(now int64, running []*workload.Job, free int, est sim.Estimator, book []Reservation) *Profile {
+	capacity := free
+	for _, r := range running {
+		capacity += r.Nodes
+	}
+	p := NewProfile(now, capacity)
+	if allocateBook(p, now, book) != nil {
+		return nil
+	}
+	for _, r := range running {
+		end := r.StartTime + est(r, now-r.StartTime)
+		if end <= now {
+			end = now + 1
+		}
+		if err := p.Allocate(now, end, r.Nodes); err != nil {
+			return nil
+		}
+	}
+	return p
+}
+
+// allocateBook allocates the part of each reservation from now on, as
+// ReservingBackfill.Pick does.
+func allocateBook(p *Profile, now int64, book []Reservation) error {
+	for _, r := range book {
+		if err := p.Allocate(max(r.Start, now), r.End, r.Nodes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sameProfile reports whether a and b are both nil, or have the same
+// breakpoints and free counts.
+func sameProfile(a, b *Profile) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return slices.Equal(a.times, b.times) && slices.Equal(a.free, b.free)
+}
+
+// TestRunningProfileMatchesAllocate checks that the running-job profile
+// built with one sort is the one the per-job Allocate loop builds — same
+// breakpoints, same free counts, same failures — over random running sets
+// with tied ends, ends at or before now, free counts of zero and below,
+// and jobs holding no nodes. With a random reservation book allocated on
+// top (ReservingBackfill's order), it must still equal the profile, or the
+// failure, of allocating the book first and the running jobs second.
+func TestRunningProfileMatchesAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	est := func(j *workload.Job, age int64) int64 { return j.RunTime }
+	const now = 1000
+	var built, failed int
+	for trial := 0; trial < 5000; trial++ {
+		running := make([]*workload.Job, rng.Intn(12))
+		for i := range running {
+			nodes := 1 + rng.Intn(8)
+			if rng.Intn(40) == 0 {
+				nodes = -rng.Intn(2) // 0 or -1
+			}
+			running[i] = &workload.Job{
+				ID:        i,
+				Nodes:     nodes,
+				StartTime: now - int64(rng.Intn(6))*10,
+				RunTime:   int64(rng.Intn(7)) * 10, // ends in [now-50, now+60]: ties and ends <= now
+			}
+		}
+		free := rng.Intn(6) - 1 // -1..4
+		book := make([]Reservation, rng.Intn(3))
+		for i := range book {
+			s := int64(now - 20 + rng.Intn(60))
+			book[i] = Reservation{ID: i, Start: s, End: max(s+1+int64(rng.Intn(40)), now+1), Nodes: 1 + rng.Intn(4)}
+		}
+
+		got := runningProfile(now, running, free, est, 0)
+		if want := allocatedProfile(now, running, free, est, nil); !sameProfile(got, want) {
+			t.Fatalf("trial %d: free %d, running %v: got %+v, want %+v", trial, free, running, got, want)
+		}
+		if got == nil {
+			failed++
+		} else {
+			built++
+		}
+
+		got = runningProfile(now, running, free, est, 2*len(book))
+		if got != nil && allocateBook(got, now, book) != nil {
+			got = nil
+		}
+		if want := allocatedProfile(now, running, free, est, book); !sameProfile(got, want) {
+			t.Fatalf("trial %d: free %d, running %v, book %v: got %+v, want %+v", trial, free, running, book, got, want)
+		}
+	}
+	if built == 0 || failed == 0 {
+		t.Fatalf("random sets built %d profiles and failed %d; want both", built, failed)
 	}
 }

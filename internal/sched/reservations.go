@@ -131,33 +131,25 @@ func (p ReservingBackfill) Name() string {
 	return "Backfill+resv"
 }
 
-// Pick mirrors Backfill.Pick with the book's reservations pre-allocated.
+// Pick mirrors Backfill.Pick with the book's reservations allocated on top
+// of the running jobs.
 func (p ReservingBackfill) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
-	capacity := free
-	for _, r := range running {
-		capacity += r.Nodes
-	}
-	prof := NewProfile(now, capacity)
+	var book []Reservation
 	if p.Book != nil {
-		for _, r := range p.Book.Active(now) {
-			s := r.Start
-			if s < now {
-				s = now
-			}
-			if err := prof.Allocate(s, r.End, r.Nodes); err != nil {
-				// An inadmissible book (e.g. reservations exceeding the
-				// currently running jobs' leftover capacity) fails safe.
-				return nil
-			}
-		}
+		book = p.Book.Active(now)
 	}
-	for _, r := range running {
-		age := now - r.StartTime
-		end := r.StartTime + est(r, age)
-		if end <= now {
-			end = now + 1
+	prof := runningProfile(now, running, free, est, 2*(len(book)+len(queue)))
+	if prof == nil {
+		return nil
+	}
+	for _, r := range book {
+		s := r.Start
+		if s < now {
+			s = now
 		}
-		if err := prof.Allocate(now, end, r.Nodes); err != nil {
+		if err := prof.Allocate(s, r.End, r.Nodes); err != nil {
+			// An inadmissible book (e.g. reservations exceeding the
+			// currently running jobs' leftover capacity) fails safe.
 			return nil
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"repro/internal/admission"
-	"repro/internal/workload"
 )
 
 // SetAdmission attaches a predictive SLO admission controller: POST
@@ -46,17 +45,13 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "job needs a positive nodes count")
 		return
 	}
-	queue := make([]*workload.Job, 0, len(req.Queue))
-	for i := range req.Queue {
-		j := req.Queue[i].toJob()
+	all, running := snapshot(req.Queue, req.Running)
+	queue := all[:0]
+	for _, j := range all {
 		if j.ID == target.ID {
 			continue // tolerate clients that already queued the job
 		}
 		queue = append(queue, j)
-	}
-	running := make([]*workload.Job, 0, len(req.Running))
-	for i := range req.Running {
-		running = append(running, req.Running[i].toJob())
 	}
 	d := s.adm.EvaluateCtx(r.Context(), req.Now, target, queue, running)
 	writeJSON(w, http.StatusOK, AdmitResponse{Decision: d})

@@ -83,14 +83,38 @@ type JobJSON struct {
 	StartTime  int64  `json:"startTime,omitempty"`
 }
 
-// toJob converts wire form to the internal model.
-func (j *JobJSON) toJob() *workload.Job {
-	return &workload.Job{
+// job converts wire form to the internal model.
+func (j *JobJSON) job() workload.Job {
+	return workload.Job{
 		ID: j.ID, Type: j.Type, Queue: j.Queue, Class: j.Class, User: j.User,
 		Script: j.Script, Executable: j.Executable, Arguments: j.Arguments,
 		NetAdaptor: j.NetAdaptor, Nodes: j.Nodes, SubmitTime: j.SubmitTime,
 		RunTime: j.RunTime, MaxRunTime: j.MaxRunTime, StartTime: j.StartTime,
 	}
+}
+
+// toJob is job on the heap.
+func (j *JobJSON) toJob() *workload.Job {
+	jb := j.job()
+	return &jb
+}
+
+// snapshot converts a simulating endpoint's queue and running set to the
+// internal model. The jobs live in one backing array allocated for the
+// request, and the two returned slices point into its slots.
+func snapshot(queue, running []JobJSON) (q, r []*workload.Job) {
+	jobs := make([]workload.Job, len(queue)+len(running))
+	ptrs := make([]*workload.Job, len(jobs))
+	for i := range queue {
+		jobs[i] = queue[i].job()
+	}
+	for i := range running {
+		jobs[len(queue)+i] = running[i].job()
+	}
+	for i := range jobs {
+		ptrs[i] = &jobs[i]
+	}
+	return ptrs[:len(queue):len(queue)], ptrs[len(queue):]
 }
 
 // Server is the HTTP prediction service.
@@ -610,11 +634,9 @@ func (s *Server) handlePredictWait(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "unknown policy %q", policyName)
 		return
 	}
+	queue, running := snapshot(req.Queue, req.Running)
 	var target *workload.Job
-	queue := make([]*workload.Job, 0, len(req.Queue))
-	for i := range req.Queue {
-		j := req.Queue[i].toJob()
-		queue = append(queue, j)
+	for _, j := range queue {
 		if j.ID == req.Target.ID {
 			target = j
 		}
@@ -622,10 +644,6 @@ func (s *Server) handlePredictWait(w http.ResponseWriter, r *http.Request) {
 	if target == nil {
 		errorJSON(w, http.StatusBadRequest, "target (id %d) must appear in queue", req.Target.ID)
 		return
-	}
-	running := make([]*workload.Job, 0, len(req.Running))
-	for i := range req.Running {
-		running = append(running, req.Running[i].toJob())
 	}
 	// Wait predictions follow re-selection: the forward simulation runs the
 	// predictor currently serving, so a drift-driven switch changes wait

@@ -156,8 +156,10 @@ func PredictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 		if steps > 4*(len(queue)+len(running))+16 {
 			return 0, fmt.Errorf("waitpred: virtual simulation did not converge")
 		}
-		// Scheduling passes at time t.
-		for len(vq) > 0 {
+		// Scheduling passes at time t. A pass in which no queued job fits
+		// in the free nodes cannot start anything under any policy (an
+		// overpick is an error below), so it is skipped.
+		for anyFits(vq, free) {
 			picked := pol.Pick(t, vq, vr, free, totalNodes, est)
 			if len(picked) == 0 {
 				break
@@ -186,6 +188,16 @@ func PredictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 			free += j.Nodes
 		}
 	}
+}
+
+// anyFits reports whether some queued job needs no more than free nodes.
+func anyFits(queue []*workload.Job, free int) bool {
+	for _, j := range queue {
+		if j.Nodes <= free {
+			return true
+		}
+	}
+	return false
 }
 
 // PredictWait is PredictStart expressed as a wait: predicted start minus the

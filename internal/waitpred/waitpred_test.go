@@ -1,6 +1,10 @@
 package waitpred
 
 import (
+	"container/heap"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/predict"
@@ -255,5 +259,128 @@ func TestLWFOracleHasBuiltInError(t *testing.T) {
 	}
 	if diffs == 0 {
 		t.Error("LWF with oracle should still mispredict some waits (built-in error)")
+	}
+}
+
+// referenceStart is PredictStart's forward simulation without the skip of
+// passes in which no queued job fits: it asks the policy at every pass. It
+// is the oracle TestSkippedPassesAreExact holds PredictStart to.
+func referenceStart(now int64, target *workload.Job, queue, running []*workload.Job,
+	totalNodes int, pol sim.Policy, pred, decision predict.Predictor) (int64, error) {
+
+	if decision == nil {
+		decision = pred
+	}
+	var vq []*workload.Job
+	assumed := map[*workload.Job]int64{}
+	var vtarget *workload.Job
+	for _, q := range queue {
+		c := q.Clone()
+		assumed[c] = predict.Estimate(pred, q, 0, predict.DefaultRuntime)
+		vq = append(vq, c)
+		if q == target {
+			vtarget = c
+		}
+	}
+	var vr endHeap
+	free := totalNodes
+	for _, r := range running {
+		c := r.Clone()
+		c.StartTime = r.StartTime
+		c.EndTime = r.StartTime + predict.Estimate(pred, r, now-r.StartTime, predict.DefaultRuntime)
+		if c.EndTime <= now {
+			c.EndTime = now + 1
+		}
+		heap.Push(&vr, c)
+		free -= c.Nodes
+	}
+	if vtarget == nil || free < 0 {
+		return 0, fmt.Errorf("bad snapshot")
+	}
+	est := func(j *workload.Job, age int64) int64 {
+		return predict.Estimate(decision, j, age, predict.DefaultRuntime)
+	}
+	for t := now; ; {
+		for len(vq) > 0 {
+			picked := pol.Pick(t, vq, vr, free, totalNodes, est)
+			if len(picked) == 0 {
+				break
+			}
+			for _, j := range picked {
+				if j == vtarget {
+					return t, nil
+				}
+				if j.Nodes > free {
+					return 0, fmt.Errorf("overpick")
+				}
+				free -= j.Nodes
+				j.StartTime, j.EndTime = t, t+assumed[j]
+				vq = slices.DeleteFunc(vq, func(q *workload.Job) bool { return q == j })
+				heap.Push(&vr, j)
+			}
+		}
+		if len(vr) == 0 {
+			return 0, fmt.Errorf("wedged")
+		}
+		t = vr[0].EndTime
+		for len(vr) > 0 && vr[0].EndTime == t {
+			free += heap.Pop(&vr).(*workload.Job).Nodes
+		}
+	}
+}
+
+// TestSkippedPassesAreExact checks that skipping the scheduling passes in
+// which no queued job fits changes no prediction: on random snapshots, for
+// every sched.ByName policy and both the exact (oracle) and compressed
+// (oracle durations, maximum-run-time decisions) setups, PredictStart
+// returns what a simulation that asks the policy at every pass returns.
+// Node counts are powers of two on a 16-node machine, so passes in which
+// only an exact fit (Nodes == free) can start are common.
+func TestSkippedPassesAreExact(t *testing.T) {
+	policies := []string{"FCFS", "LWF", "LWF/blocking", "Backfill", "Backfill/EASY", "SJF", "SJF/blocking", "Priority"}
+	classes := []string{"", "interactive", "standard", "batch"}
+	const total = 16
+	rng := rand.New(rand.NewSource(1))
+	var snapshots, failures int
+	for trial := 0; trial < 300; trial++ {
+		now := int64(10000)
+		var run []*workload.Job
+		used := 0
+		for i := 0; i < 6; i++ {
+			n := 1 << rng.Intn(4)
+			if used+n > total {
+				break
+			}
+			used += n
+			r := running(100+i, now-int64(rng.Intn(500)), int64(1+rng.Intn(900)), n)
+			r.MaxRunTime = r.RunTime + int64(rng.Intn(600))
+			run = append(run, r)
+		}
+		queue := make([]*workload.Job, 1+rng.Intn(12))
+		for i := range queue {
+			q := j(i, now-int64(rng.Intn(300)), int64(1+rng.Intn(900)), 1<<rng.Intn(5))
+			q.MaxRunTime = q.RunTime + int64(rng.Intn(600))
+			q.Class = classes[rng.Intn(len(classes))]
+			queue[i] = q
+		}
+		target := queue[rng.Intn(len(queue))]
+		for _, name := range policies {
+			for _, decision := range []predict.Predictor{nil, predict.MaxRuntime{}} {
+				pol := sched.ByName(name)
+				want, werr := referenceStart(now, target, queue, run, total, pol, predict.Oracle{}, decision)
+				got, err := PredictStart(now, target, queue, run, total, pol, predict.Oracle{}, decision, 0)
+				if (err != nil) != (werr != nil) || got != want {
+					t.Fatalf("trial %d, %s, decision %v: PredictStart = %d, %v; every-pass reference = %d, %v",
+						trial, name, decision, got, err, want, werr)
+				}
+				snapshots++
+				if err != nil {
+					failures++
+				}
+			}
+		}
+	}
+	if failures == snapshots {
+		t.Fatalf("all %d predictions failed", snapshots)
 	}
 }
