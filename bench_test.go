@@ -278,7 +278,7 @@ func batchOf(probe *workload.Job) []core.BatchItem {
 }
 
 func predictBatch(tb testing.TB, p *core.Predictor, items []core.BatchItem) {
-	if res := p.PredictDetailedBatch(items); !res[0].OK {
+	if res := p.PredictDetailedBatchCtx(context.Background(), items); !res[0].OK {
 		tb.Fatal("no prediction")
 	}
 }

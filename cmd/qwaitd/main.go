@@ -141,7 +141,7 @@ func main() {
 	}
 	// Graceful shutdown path: drain done, persist the history.
 	if a.store != nil {
-		if err := a.store.Snapshot(); err != nil {
+		if err := a.store.Snapshot(context.Background()); err != nil {
 			logger.Error("snapshot on shutdown failed", "err", err)
 			os.Exit(1)
 		}
@@ -163,7 +163,7 @@ func snapshotPeriodically(ctx context.Context, logger *obs.Logger, st *histstore
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if err := st.SnapshotCtx(ctx); err != nil {
+			if err := st.Snapshot(ctx); err != nil {
 				logger.Error("periodic snapshot failed", "err", err)
 			} else if logger.Enabled(obs.LevelDebug) {
 				logger.Debug("periodic snapshot", "dir", st.Dir())

@@ -9,8 +9,8 @@
 //  2. a metascheduler negotiates the earliest simultaneous 1-hour window
 //     for a two-component application (coalloc.Negotiate);
 //  3. the booked reservations are walled off from the batch queues by
-//     ReservingBackfill, and the simulation verifies that no batch job
-//     intrudes on either window.
+//     backfill given each machine's reservation book, and the simulation
+//     verifies that no batch job intrudes on either window.
 //
 // Run with:
 //
@@ -56,10 +56,11 @@ func main() {
 	fmt.Printf("negotiated co-allocation: [%d, %d) — %d nodes on %s, %d nodes on %s\n",
 		start, start+duration, 200, ra.Name, 150, rb.Name)
 
-	// Run both machines' batch workloads under ReservingBackfill and check
-	// the reservation windows stay clear.
+	// Run both machines' batch workloads under backfill given each
+	// machine's reservation book and check the reservation windows stay
+	// clear.
 	check := func(w *workload.Workload, r *coalloc.Resource, nodes int) {
-		res, err := sim.Run(w, sched.ReservingBackfill{Book: r.Book}, predict.MaxRuntime{}, sim.Options{})
+		res, err := sim.Run(w, sched.Backfill{}.WithBook(r.Book), predict.MaxRuntime{}, sim.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	with, err := sim.Run(wa, sched.ReservingBackfill{Book: ra.Book}, predict.MaxRuntime{}, sim.Options{})
+	with, err := sim.Run(wa, sched.Backfill{}.WithBook(ra.Book), predict.MaxRuntime{}, sim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,7 @@
 //
 // The decision entry point (Decide) carries a // hotpath: contract: it is
 // pure arithmetic over atomics — no locks, no clock reads — so it can sit
-// on a scheduler's submission path. The wait estimation (Evaluate) does
+// on a scheduler's submission path. The wait estimation (EvaluateCtx) does
 // the forward simulation and is traced as an "admission.decide" span.
 //
 // The shape of the controller follows the inference-sim iter-14
@@ -497,13 +497,8 @@ func (c *Controller) EvaluateCtx(ctx context.Context, now int64, target *workloa
 	return d
 }
 
-// Evaluate is EvaluateCtx without tracing.
-func (c *Controller) Evaluate(now int64, target *workload.Job, queue, running []*workload.Job) Decision {
-	return c.EvaluateCtx(context.Background(), now, target, queue, running)
-}
-
 // Attach wires the controller into simulator options: arrivals pass
-// through Evaluate, and — when a state predictor is configured — realized
+// through EvaluateCtx, and — when a state predictor is configured — realized
 // waits of admitted jobs feed back into it at start time, closing the §5
 // learning loop online. Existing OnStart/OnShed handlers are preserved.
 // The binding assumes the single-threaded simulator event loop.
@@ -514,7 +509,7 @@ func (c *Controller) Attach(opts *sim.Options) {
 	}
 	pending := make(map[int]pendingState)
 	opts.Admission = func(now int64, j *workload.Job, queue, running []*workload.Job, free, total int) bool {
-		d := c.Evaluate(now, j, queue, running)
+		d := c.EvaluateCtx(context.Background(), now, j, queue, running)
 		if d.Admit && c.cfg.StatePred != nil {
 			st := waitpred.CaptureState(now, queue, running, total, c.decisionEst)
 			pending[j.ID] = pendingState{state: st, jobWork: int64(j.Nodes) * c.decisionEst(j, 0)}

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -227,7 +228,7 @@ func TestEvaluateForwardSimulation(t *testing.T) {
 
 	// Empty machine: zero wait, admit, forward source.
 	target := job(10, 2, 600, "standard")
-	d := c.Evaluate(0, target, nil, nil)
+	d := c.EvaluateCtx(context.Background(), 0, target, nil, nil)
 	if !d.Admit || d.Source != "forward" || d.PredictedWaitSec != 0 {
 		t.Fatalf("empty machine: %+v", d)
 	}
@@ -236,13 +237,13 @@ func TestEvaluateForwardSimulation(t *testing.T) {
 	// estimate (7200s) exceeds its 3600s budget — shed.
 	hog := job(1, 4, 7200, "standard")
 	hog.StartTime = 0
-	d = c.Evaluate(0, target, nil, []*workload.Job{hog})
+	d = c.EvaluateCtx(context.Background(), 0, target, nil, []*workload.Job{hog})
 	if d.Admit || d.PredictedWaitSec != 7200 || d.Reason != ReasonShedBudget {
 		t.Fatalf("hogged machine: %+v, want shed at 7200s", d)
 	}
 
 	// Same state, interactive class: admitted regardless.
-	d = c.Evaluate(0, job(11, 2, 600, "interactive"), nil, []*workload.Job{hog})
+	d = c.EvaluateCtx(context.Background(), 0, job(11, 2, 600, "interactive"), nil, []*workload.Job{hog})
 	if !d.Admit || d.Reason != ReasonAlways {
 		t.Fatalf("interactive on hogged machine: %+v", d)
 	}
@@ -261,7 +262,7 @@ func TestEvaluateQueueAhead(t *testing.T) {
 	hog.StartTime = 0
 	ahead := job(2, 4, 500, "standard")
 	target := job(3, 4, 100, "standard")
-	d := c.Evaluate(0, target, []*workload.Job{ahead}, []*workload.Job{hog})
+	d := c.EvaluateCtx(context.Background(), 0, target, []*workload.Job{ahead}, []*workload.Job{hog})
 	if d.Admit || d.PredictedWaitSec != 1500 {
 		t.Fatalf("queued-ahead: %+v, want shed at 1500s", d)
 	}
@@ -276,7 +277,7 @@ func TestEvaluateStateSource(t *testing.T) {
 
 	target := job(10, 2, 600, "standard")
 	// No history yet: falls back to the forward simulation.
-	if d := c.Evaluate(0, target, nil, nil); d.Source != "forward" {
+	if d := c.EvaluateCtx(context.Background(), 0, target, nil, nil); d.Source != "forward" {
 		t.Fatalf("no history: source %q, want forward", d.Source)
 	}
 	// Seed matching history (two observations so the CI is defined) for the
@@ -285,7 +286,7 @@ func TestEvaluateStateSource(t *testing.T) {
 	jw := int64(target.Nodes) * c.decisionEst(target, 0)
 	sp.ObserveWait(st, target, jw, 100)
 	sp.ObserveWait(st, target, jw, 100)
-	d := c.Evaluate(0, target, nil, nil)
+	d := c.EvaluateCtx(context.Background(), 0, target, nil, nil)
 	if d.Source != "state" || d.PredictedWaitSec != 100 {
 		t.Fatalf("with history: %+v, want state source at 100s", d)
 	}

@@ -114,8 +114,8 @@ func TestNegotiateValidation(t *testing.T) {
 }
 
 func TestNegotiateBookingsVisibleToBackfill(t *testing.T) {
-	// End to end with the scheduler: after a negotiation, ReservingBackfill
-	// on each machine keeps the window clear.
+	// End to end with the scheduler: after a negotiation, backfill given
+	// each machine's book keeps the window clear.
 	a := res("a", 4)
 	start, _, err := Negotiate([]Component{{Resource: a, Nodes: 4}}, 100, 100)
 	if err != nil {

@@ -237,22 +237,16 @@ type BatchResult struct {
 	OK bool
 }
 
-// PredictDetailedBatch predicts for many jobs in one call, amortizing
+// PredictDetailedBatchCtx predicts for many jobs in one call, amortizing
 // category resolution: within the batch every distinct category key is
 // looked up in the store at most once, so all items are served from one
 // consistent snapshot of each category even while observations stream in
-// concurrently. Results are positional with items.
+// concurrently. Results are positional with items. Under a trace active in
+// ctx the batch becomes a "core.predict_batch" span whose children are the
+// per-item "core.predict" spans, each decomposed exactly as
+// PredictDetailedCtx decomposes a single prediction.
 //
 // hotpath: no-lock no-alloc no-clock
-func (p *Predictor) PredictDetailedBatch(items []BatchItem) []BatchResult {
-	return p.PredictDetailedBatchCtx(context.Background(), items)
-}
-
-// PredictDetailedBatchCtx is PredictDetailedBatch under the trace active in
-// ctx: the batch becomes a "core.predict_batch" span whose children are the
-// per-item "core.predict" spans, each decomposed exactly as
-// PredictDetailedCtx decomposes a single prediction. Without an active
-// trace it is exactly PredictDetailedBatch.
 func (p *Predictor) PredictDetailedBatchCtx(ctx context.Context, items []BatchItem) []BatchResult {
 	out := make([]BatchResult, len(items)) //lint:allow hotpath one result slice per batch is the API contract; amortized across len(items) predictions
 	ctx, bsp := trace.StartSpan(ctx, "core.predict_batch")
@@ -295,7 +289,7 @@ func (p *Predictor) lookup(ctx context.Context, tsp *trace.Span, key []byte) cat
 	if tsp != nil {
 		r.c, r.key, _ = p.store.GetCtx(trace.ContextWithSpan(ctx, tsp), key)
 	} else {
-		r.c, r.key, _ = p.store.Get(key) //lint:allow ctxflow no active trace when the span is nil; the ctx-less fast path skips a second StartSpan on the hot predict loop
+		r.c, r.key, _ = p.store.Get(key)
 	}
 	return r
 }
@@ -410,7 +404,7 @@ func endTemplateSpan(tsp *trace.Span, i int, key []byte, stored string, ok bool)
 // the configured error handler, because this interface method cannot
 // return them.
 func (p *Predictor) Observe(j *workload.Job) {
-	p.observe(context.Background(), nil, j)
+	p.observe(context.Background(), j)
 }
 
 // ObserveCtx is Observe under the trace active in ctx: the fan-out across
@@ -419,21 +413,15 @@ func (p *Predictor) Observe(j *workload.Job) {
 // stores). Without an active trace it is exactly Observe.
 func (p *Predictor) ObserveCtx(ctx context.Context, j *workload.Job) {
 	ctx, sp := trace.StartSpan(ctx, "core.observe")
-	p.observe(ctx, sp, j)
+	p.observe(ctx, j)
 	sp.End()
 }
 
-func (p *Predictor) observe(ctx context.Context, sp *trace.Span, j *workload.Job) {
+func (p *Predictor) observe(ctx context.Context, j *workload.Job) {
 	var kb [keyBufSize]byte
 	pt := pointOf(j)
 	for i, t := range p.templates {
-		key := t.AppendKey(kb[:0], i, j)
-		var err error
-		if sp != nil {
-			err = p.store.InsertCtx(ctx, key, t.MaxHistory, pt)
-		} else {
-			err = p.store.Insert(key, t.MaxHistory, pt) //lint:allow ctxflow no active trace when the span is nil; the ctx-less fast path skips a second StartSpan per template
-		}
+		err := p.store.Insert(ctx, t.AppendKey(kb[:0], i, j), t.MaxHistory, pt)
 		if err != nil {
 			p.recordStoreErr(err)
 			if p.onStoreErr != nil {

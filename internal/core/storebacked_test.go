@@ -117,13 +117,13 @@ func TestStoreBackedMatchesBatch(t *testing.T) {
 }
 
 // mustPredictAllBatch is mustPredictAll driven through the batch API: each
-// job's two ages are one PredictDetailedBatch call, so the per-batch
+// job's two ages are one PredictDetailedBatchCtx call, so the per-batch
 // category resolve cache is exercised on every step.
 func mustPredictAllBatch(t *testing.T, p *Predictor, w *workload.Workload) []Prediction {
 	t.Helper()
 	var out []Prediction
 	for _, j := range w.Jobs {
-		res := p.PredictDetailedBatch([]BatchItem{{Job: j, Age: 0}, {Job: j, Age: 600}})
+		res := p.PredictDetailedBatchCtx(context.Background(), []BatchItem{{Job: j, Age: 0}, {Job: j, Age: 600}})
 		if len(res) != 2 {
 			t.Fatalf("batch returned %d results for 2 items", len(res))
 		}
@@ -144,7 +144,7 @@ func mustPredictAllBatch(t *testing.T, p *Predictor, w *workload.Workload) []Pre
 
 // TestBatchPredictMatchesSingle proves the batch API is a pure amortization
 // of the single-prediction path: on every study workload, a predictor
-// driven through PredictDetailedBatch emits bit-for-bit the stream the
+// driven through PredictDetailedBatchCtx emits bit-for-bit the stream the
 // single-call path emits.
 func TestBatchPredictMatchesSingle(t *testing.T) {
 	for _, name := range workload.StudyNames {
@@ -170,11 +170,11 @@ func TestBatchPredictEdgeCases(t *testing.T) {
 	for _, j := range w.Jobs[:20] {
 		p.Observe(j)
 	}
-	if res := p.PredictDetailedBatch(nil); len(res) != 0 {
+	if res := p.PredictDetailedBatchCtx(context.Background(), nil); len(res) != 0 {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
 	j := w.Jobs[25]
-	res := p.PredictDetailedBatch([]BatchItem{{Job: nil}, {Job: j}})
+	res := p.PredictDetailedBatchCtx(context.Background(), []BatchItem{{Job: nil}, {Job: j}})
 	if len(res) != 2 {
 		t.Fatalf("batch returned %d results for 2 items", len(res))
 	}
@@ -186,7 +186,7 @@ func TestBatchPredictEdgeCases(t *testing.T) {
 		t.Fatalf("batch vs single diverged: %+v/%v vs %+v/%v",
 			res[1].Prediction, res[1].OK, single, ok)
 	}
-	one := p.PredictDetailedBatch([]BatchItem{{Job: j}})
+	one := p.PredictDetailedBatchCtx(context.Background(), []BatchItem{{Job: j}})
 	if one[0].OK != ok || one[0].Prediction != single {
 		t.Fatalf("single-item batch diverged: %+v/%v vs %+v/%v",
 			one[0].Prediction, one[0].OK, single, ok)
@@ -277,7 +277,7 @@ func durableRecoveredStream(t *testing.T, ts []Template, w *workload.Workload) [
 	stored := New(ts, WithStore(st))
 	half := &workload.Workload{Chars: w.Chars, HasMaxRT: w.HasMaxRT, Jobs: w.Jobs[:len(w.Jobs)/2]}
 	got := mustPredictAll(t, stored, half)
-	if err := st.Snapshot(); err != nil {
+	if err := st.Snapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	quarter := len(w.Jobs) * 3 / 4
@@ -302,7 +302,7 @@ func durableRecoveredStream(t *testing.T, ts []Template, w *workload.Workload) [
 
 // TestCOWHammerPredictObserveSnapshot exercises the copy-on-write swap
 // where torn views would surface: concurrent predicts (single and batch),
-// streaming observes, and continuous SnapshotCtx compaction on a durable
+// streaming observes, and continuous Snapshot compaction on a durable
 // store. Run under -race this is the CI gate for the lock-free read path;
 // the final sweep asserts every published category snapshot is internally
 // consistent (ring size matches moment count, finalized aggregates are
@@ -353,7 +353,7 @@ func TestCOWHammerPredictObserveSnapshot(t *testing.T) {
 				}
 				j := w.Jobs[i%len(w.Jobs)]
 				p.PredictDetailed(j, 0)
-				res := p.PredictDetailedBatch([]BatchItem{{Job: j}, {Job: j, Age: 600}})
+				res := p.PredictDetailedBatchCtx(context.Background(), []BatchItem{{Job: j}, {Job: j, Age: 600}})
 				if len(res) != 2 {
 					t.Errorf("batch returned %d results", len(res))
 					return
@@ -371,7 +371,7 @@ func TestCOWHammerPredictObserveSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			if err := st.SnapshotCtx(ctx); err != nil {
+			if err := st.Snapshot(ctx); err != nil {
 				t.Error(err)
 				return
 			}

@@ -1,6 +1,7 @@
 package histstore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -29,7 +30,7 @@ const (
 // insert is the unit the insert benchmarks time: one point, its run time
 // drawn from rng, into category k under bound.
 func insert(tb testing.TB, s *Store, k []byte, bound int, rng *rand.Rand) {
-	if err := s.Insert(k, bound, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
+	if err := s.Insert(context.Background(), k, bound, pt(float64(1+rng.Intn(5000)), 6000, 8)); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -194,7 +195,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Snapshot(); err != nil {
+		if err := s.Snapshot(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package histstore
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -28,7 +29,7 @@ func fill(t *testing.T, s *Store, seed int64, n int) {
 		if rng.Intn(4) > 0 {
 			maxRT = rt * float64(1+rng.Intn(3))
 		}
-		if err := s.Insert(key, maxHist, pt(rt, maxRT, float64(1+rng.Intn(64)))); err != nil {
+		if err := s.Insert(context.Background(), key, maxHist, pt(rt, maxRT, float64(1+rng.Intn(64)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +105,7 @@ func TestRecoverySnapshotPlusWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, live, 2, 600)
-	if err := live.Snapshot(); err != nil {
+	if err := live.Snapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	fill(t, live, 3, 400) // the WAL tail past the snapshot
@@ -136,7 +137,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Snapshot(); err != nil {
+	if err := live.Snapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.Stat(filepath.Join(dir, WALFile))
@@ -227,7 +228,7 @@ func TestRecoverySkipsRecordsCoveredBySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Snapshot(); err != nil {
+	if err := live.Snapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(walPath, oldWAL, 0o644); err != nil {
@@ -242,13 +243,13 @@ func TestRecoverySkipsRecordsCoveredBySnapshot(t *testing.T) {
 
 func TestSnapshotOnMemoryOnlyStoreFails(t *testing.T) {
 	s := New()
-	if err := s.Snapshot(); err == nil {
+	if err := s.Snapshot(context.Background()); err == nil {
 		t.Fatal("memory-only snapshot must fail")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("memory-only close: %v", err)
 	}
-	if err := s.Insert([]byte("k"), 0, pt(1, 0, 1)); err != nil {
+	if err := s.Insert(context.Background(), []byte("k"), 0, pt(1, 0, 1)); err != nil {
 		t.Fatalf("memory-only insert: %v", err)
 	}
 }
@@ -295,7 +296,7 @@ func TestDurableConcurrentInsertThenRecover(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(40 + w)))
 			for i := 0; i < 300; i++ {
 				key := fmt.Appendf(nil, "w%d-k%d", w, rng.Intn(5)) // writer-private keys: deterministic per-key order
-				if err := live.Insert(key, 16, pt(float64(1+rng.Intn(5000)), 0, 2)); err != nil {
+				if err := live.Insert(context.Background(), key, 16, pt(float64(1+rng.Intn(5000)), 0, 2)); err != nil {
 					done <- err
 					return
 				}
@@ -325,17 +326,17 @@ func TestDurableInsertRejectsOversizedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Insert([]byte("before"), 0, pt(100, 200, 4)); err != nil {
+	if err := live.Insert(context.Background(), []byte("before"), 0, pt(100, 200, 4)); err != nil {
 		t.Fatal(err)
 	}
 	huge := bytes.Repeat([]byte("k"), walMaxRecord)
-	if err := live.Insert(huge, 0, pt(100, 200, 4)); err == nil {
+	if err := live.Insert(context.Background(), huge, 0, pt(100, 200, 4)); err == nil {
 		t.Fatal("oversized key accepted")
 	}
 	if live.Categories() != 1 {
 		t.Fatalf("rejected key mutated the store: %d categories", live.Categories())
 	}
-	if err := live.Insert([]byte("after"), 0, pt(50, 0, 2)); err != nil {
+	if err := live.Insert(context.Background(), []byte("after"), 0, pt(50, 0, 2)); err != nil {
 		t.Fatalf("log unusable after oversized-key rejection: %v", err)
 	}
 	recovered, err := Open(dir)
@@ -360,10 +361,10 @@ func TestDurableInsertRejectsInvalidPointBeforeWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Insert([]byte("good"), 0, pt(100, 200, 4)); err != nil {
+	if err := live.Insert(context.Background(), []byte("good"), 0, pt(100, 200, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Insert([]byte("bad"), 0, Point{RunTime: 10, Ratio: math.NaN(), Nodes: 0}); err == nil {
+	if err := live.Insert(context.Background(), []byte("bad"), 0, Point{RunTime: 10, Ratio: math.NaN(), Nodes: 0}); err == nil {
 		t.Fatal("invalid point accepted")
 	}
 	if err := live.Close(); err != nil {
@@ -403,7 +404,7 @@ func TestRecoveryStopsAtInvalidRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := live.Insert([]byte("good"), 0, pt(100, 200, 4)); err != nil {
+			if err := live.Insert(context.Background(), []byte("good"), 0, pt(100, 200, 4)); err != nil {
 				t.Fatal(err)
 			}
 			if err := live.Close(); err != nil {

@@ -107,16 +107,10 @@ func (s *Store) Close() error {
 // rotates the WAL so it restarts empty at the snapshot's sequence number.
 // Every intermediate crash point recovers correctly: the rename is atomic,
 // and an un-rotated WAL only holds records the new snapshot already
-// covers, which replay skips.
-func (s *Store) Snapshot() error {
-	return s.snapshot()
-}
-
-// SnapshotCtx is Snapshot recorded as a child span of the trace active in
-// ctx ("histstore.snapshot"). Without an active trace it is exactly
-// Snapshot.
-func (s *Store) SnapshotCtx(ctx context.Context) error {
-	_, sp := trace.StartSpan(ctx, "histstore.snapshot")
+// covers, which replay skips. Under a trace active in ctx the snapshot is
+// recorded as a "histstore.snapshot" child span.
+func (s *Store) Snapshot(ctx context.Context) error {
+	sp := trace.SpanFromContext(ctx).StartChild("histstore.snapshot")
 	if sp == nil {
 		return s.snapshot()
 	}

@@ -238,26 +238,16 @@ func (s *Store) shardAt(h uint64) *shard { return &s.shards[h&uint64(len(s.shard
 // to the WAL before it is applied — the write-ahead contract — and a WAL
 // append failure leaves the in-memory state unchanged so memory never
 // runs ahead of the log.
-func (s *Store) Insert(key []byte, maxHistory int, p Point) error {
-	return s.insert(nil, key, maxHistory, p)
-}
-
-// InsertCtx is Insert with the shard operation recorded as a child span of
-// the trace active in ctx ("histstore.insert", with a nested
-// "histstore.wal_append" around the journal write for durable stores).
-// Without an active trace it is exactly Insert.
-func (s *Store) InsertCtx(ctx context.Context, key []byte, maxHistory int, p Point) error {
-	_, sp := trace.StartSpan(ctx, "histstore.insert")
+//
+// Under a trace active in ctx the shard operation is recorded as a child
+// span ("histstore.insert", with a nested "histstore.wal_append" around
+// the journal write for durable stores); without one no span is opened.
+func (s *Store) Insert(ctx context.Context, key []byte, maxHistory int, p Point) error {
+	sp := trace.SpanFromContext(ctx).StartChild("histstore.insert")
 	if sp != nil {
 		sp.SetAttr("category", string(key))
 		defer sp.End()
 	}
-	return s.insert(sp, key, maxHistory, p)
-}
-
-// insert is the shared Insert body; sp, when non-nil, receives a child
-// span around the WAL append (the usual suspect when an insert is slow).
-func (s *Store) insert(sp *trace.Span, key []byte, maxHistory int, p Point) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}

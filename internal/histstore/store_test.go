@@ -22,13 +22,13 @@ func pt(rt, maxRT, nodes float64) Point {
 
 func TestStoreInsertAndGet(t *testing.T) {
 	s := New()
-	if err := s.Insert([]byte("k1"), 0, pt(100, 200, 4)); err != nil {
+	if err := s.Insert(context.Background(), []byte("k1"), 0, pt(100, 200, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert([]byte("k1"), 0, pt(120, 0, 4)); err != nil {
+	if err := s.Insert(context.Background(), []byte("k1"), 0, pt(120, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert([]byte("k2"), 0, pt(7, 0, 1)); err != nil {
+	if err := s.Insert(context.Background(), []byte("k2"), 0, pt(7, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Categories() != 2 || s.Points() != 3 {
@@ -58,7 +58,7 @@ func TestStoreInsertAndGet(t *testing.T) {
 func TestStoreGetByteKey(t *testing.T) {
 	s := New(WithShards(16))
 	for i := 0; i < 64; i++ {
-		if err := s.Insert(fmt.Appendf(nil, "%d|user%d", i%5, i), 0, pt(float64(10+i), 0, 1)); err != nil {
+		if err := s.Insert(context.Background(), fmt.Appendf(nil, "%d|user%d", i%5, i), 0, pt(float64(10+i), 0, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,12 +81,12 @@ func TestStoreGetByteKey(t *testing.T) {
 func TestStoreBoundedEviction(t *testing.T) {
 	s := New(WithShards(4))
 	for i := 0; i < 10; i++ {
-		if err := s.Insert([]byte("k"), 4, pt(100, 0, 1)); err != nil {
+		if err := s.Insert(context.Background(), []byte("k"), 4, pt(100, 0, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if err := s.Insert([]byte("k"), 4, pt(500, 0, 1)); err != nil {
+		if err := s.Insert(context.Background(), []byte("k"), 4, pt(500, 0, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestStorePutAndForEach(t *testing.T) {
 	c.Insert(pt(10, 0, 1))
 	c.Insert(pt(20, 0, 1))
 	s.Put("a", c)
-	if err := s.Insert([]byte("b"), 0, pt(5, 0, 1)); err != nil {
+	if err := s.Insert(context.Background(), []byte("b"), 0, pt(5, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Categories() != 2 || s.Points() != 3 {
@@ -193,7 +193,7 @@ func TestStoreConcurrentInsertPredict(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < inserts; i++ {
 				k := fmt.Appendf(nil, "cat-%d", rng.Intn(keys))
-				if err := s.Insert(k, 16, pt(float64(1+rng.Intn(1000)), 0, 1)); err != nil {
+				if err := s.Insert(context.Background(), k, 16, pt(float64(1+rng.Intn(1000)), 0, 1)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -309,7 +309,7 @@ func TestInsertRejectsInvalidPoints(t *testing.T) {
 	}
 	s := New()
 	for _, p := range bad {
-		if err := s.Insert([]byte("k"), 0, p); err == nil {
+		if err := s.Insert(context.Background(), []byte("k"), 0, p); err == nil {
 			t.Errorf("invalid point %+v accepted", p)
 		}
 	}
@@ -326,7 +326,7 @@ func TestMemoryStoreWALRecordsMetricSilent(t *testing.T) {
 	reg := obs.NewRegistry()
 	s.SetMetrics(reg)
 	for i := 0; i < 5; i++ {
-		if err := s.Insert([]byte("k"), 0, pt(100, 200, 4)); err != nil {
+		if err := s.Insert(context.Background(), []byte("k"), 0, pt(100, 200, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,7 +3,7 @@
 // summaries (lock acquisition, allocation, channel blocking, wall-clock
 // reads, goroutine starts), and runs interprocedural reachability queries
 // over them. It is the substrate for the hotpath and goleak analyzers and
-// for the cross-package callee summaries of lockflow and ctxflow.
+// for the cross-package callee summaries of lockflow.
 //
 // The graph is conservative but deliberately cheap:
 //

@@ -50,18 +50,11 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// Lookup resolves an import path to a package the driver loaded with
-	// syntax (module-internal and fixture packages; never the standard
-	// library, which comes from export data). Flow analyzers use it to
-	// reason about callees across package boundaries — e.g. ctxflow asks
-	// it whether a callee's package is part of this module before
-	// requiring the *Ctx variant. May be nil in hand-built passes.
-	Lookup func(path string) *Package
 	// Graph is the module-wide call graph shared by every analyzer in one
 	// Run: lazy, memoized, spanning all packages the loader has loaded
 	// with syntax. Interprocedural analyzers (hotpath, goleak, and the
-	// cross-package summaries of lockflow/ctxflow) traverse it. May be
-	// nil in hand-built passes; analyzers must tolerate that.
+	// cross-package summaries of lockflow) traverse it. May be nil in
+	// hand-built passes; analyzers must tolerate that.
 	Graph *callgraph.Graph
 	diags *[]Diagnostic
 }

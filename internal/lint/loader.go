@@ -90,8 +90,7 @@ func (l *Loader) ModulePath() string { return l.modulePath }
 
 // Loaded returns the already-loaded package for path if it was loaded
 // with syntax trees (module-internal or fixture packages), nil otherwise.
-// Analyzers use it through Pass.Lookup to reason about callees the suite
-// can see source for, without ever triggering a new load.
+// It never triggers a new load.
 func (l *Loader) Loaded(path string) *Package {
 	if p, ok := l.pkgs[path]; ok && len(p.Files) > 0 {
 		return p

@@ -140,8 +140,7 @@ func Run(loader *Loader, analyzers []*Analyzer, paths []string) ([]Diagnostic, e
 			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
 				continue
 			}
-			pass := &Pass{Analyzer: a, Fset: loader.Fset, Pkg: pkg, Lookup: loader.Loaded,
-				Graph: graph, diags: &raw}
+			pass := &Pass{Analyzer: a, Fset: loader.Fset, Pkg: pkg, Graph: graph, diags: &raw}
 			a.Run(pass)
 		}
 		for _, d := range collectDirectives(loader.Fset, pkg) {

@@ -16,7 +16,7 @@ import (
 var requiredContracts = []string{
 	"repro/internal/core.Predictor.Predict",
 	"repro/internal/core.Predictor.PredictDetailed",
-	"repro/internal/core.Predictor.PredictDetailedBatch",
+	"repro/internal/core.Predictor.PredictDetailedBatchCtx",
 	"repro/internal/histstore.Store.Get",
 	"repro/internal/admission.Controller.Decide",
 	"repro/internal/obs/accuracy.stream.scoreSample",

@@ -1,106 +1,66 @@
-// Package a is the ctxflow fixture: callers with and without contexts,
-// calling module APIs with and without *Ctx variants.
+// Package a is the ctxflow fixture: callers with and without contexts
+// handing context-taking callees a ctx.
 package a
 
-import (
-	"context"
+import "context"
 
-	"ctxflow/b"
-)
+// DB is a method-carrying callee type.
+type DB struct{}
 
-// A ctx-holding caller using the ctx-less function variant severs the
-// span tree.
-func dropsFunc(ctx context.Context, n int) int {
-	return b.Fetch(n) // want `call to Fetch drops the caller's ctx; call FetchCtx`
+// GetCtx takes a context.
+func (d *DB) GetCtx(ctx context.Context, key string) int {
+	_ = ctx
+	return len(key)
 }
 
-// Method variants are found through the receiver type.
-func dropsMethod(ctx context.Context, d *b.DB) int {
-	return d.Get("k") // want `call to Get drops the caller's ctx; call GetCtx`
+// FetchCtx takes a context.
+func FetchCtx(ctx context.Context, n int) int {
+	_ = ctx
+	return n
 }
 
-// Calling the variant but feeding it a fresh root context is the same
-// bug wearing a disguise.
+// Fetch takes none; ctx-less callees are out of the check's scope.
+func Fetch(n int) int { return n }
+
+// A ctx-holding caller feeding a context-taking callee a fresh root
+// context throws its own ctx (and the trace on it) away.
 func severs(ctx context.Context, n int) int {
-	return b.FetchCtx(context.Background(), n) // want `FetchCtx is called with context\.Background\(\) although the caller has its own ctx`
+	return FetchCtx(context.Background(), n) // want `FetchCtx is called with context\.Background\(\) although the caller has its own ctx`
 }
 
-func seversTODO(ctx context.Context, d *b.DB) int {
+// Methods are held to the same rule, and so is context.TODO().
+func seversTODO(ctx context.Context, d *DB) int {
 	return d.GetCtx(context.TODO(), "k") // want `GetCtx is called with context\.TODO\(\) although the caller has its own ctx`
 }
 
 // Closures capture the enclosing ctx and are held to the same rule.
 func closureInherits(ctx context.Context, n int) int {
 	f := func() int {
-		return b.Fetch(n) // want `call to Fetch drops the caller's ctx`
+		return FetchCtx(context.Background(), n) // want `FetchCtx is called with context\.Background\(\)`
 	}
 	return f()
 }
 
 // --- clean code ---
 
-// Passing the caller's own ctx to the variant is the point.
+// Passing the caller's own ctx is the point.
 func passes(ctx context.Context, n int) int {
-	return b.FetchCtx(ctx, n)
+	return FetchCtx(ctx, n)
 }
 
-// No variant exists: nothing to propagate into.
-func noVariant(ctx context.Context, n int) int {
-	return b.Plain(n)
-}
-
-// SumCtx's signature is not Sum-plus-context, so Sum is not gated.
-func shapeMismatch(ctx context.Context, n int) int {
-	return b.Sum(n, n)
-}
-
-// A caller without a ctx cannot propagate one.
-func noCtxHere(n int) int {
-	return b.Fetch(n)
+// A ctx-less callee has no ctx to pass on.
+func noCtxCallee(ctx context.Context, n int) int {
+	return Fetch(n)
 }
 
 // Root contexts are exactly right at the top of a call tree.
 func topLevel(n int) int {
-	return b.FetchCtx(context.Background(), n)
+	return FetchCtx(context.Background(), n)
 }
 
 // A closure with its own ctx parameter is a fresh propagation scope.
 func ownParam() func(context.Context, int) int {
 	return func(ctx context.Context, n int) int {
-		return b.FetchCtx(ctx, n)
+		return FetchCtx(ctx, n)
 	}
-}
-
-// Local has a same-package LocalCtx variant.
-func Local(n int) int { return n }
-
-// LocalCtx implementing itself via Local is the delegation pattern, not
-// a dropped context.
-func LocalCtx(ctx context.Context, n int) int {
-	_ = ctx
-	return Local(n)
-}
-
-// Any other ctx-holding caller of Local is still held to the rule.
-func dropsLocal(ctx context.Context, n int) int {
-	return Local(n) // want `call to Local drops the caller's ctx; call LocalCtx`
-}
-
-// --- transitive drops through ctx-less helpers ---
-
-// The severing call can hide inside ctx-less helpers: the call graph
-// follows them down to the API that has a variant.
-func dropsTransitively(ctx context.Context, n int) int {
-	return b.Indirect(n) // want `call to Indirect drops the caller's ctx before it reaches Fetch, which has a FetchCtx variant; plumb ctx through \(path: Indirect → hop → Fetch\)`
-}
-
-// Helpers whose call trees never reach a *Ctx-sibling API are fine.
-func cleanTransitively(ctx context.Context, n int) int {
-	return b.PlainIndirect(n)
-}
-
-// The walk stops at context-taking callees: what they were handed is
-// their own callers' business.
-func stopsAtCtxTaker(ctx context.Context, n int) int {
-	return b.Stops(n)
 }

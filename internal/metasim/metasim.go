@@ -372,12 +372,12 @@ func (p PredictedTurnaround) Route(now int64, j *workload.Job, states []MachineS
 		c := j.Clone()
 		c.SubmitTime = now
 		queue := append(append([]*workload.Job(nil), st.Queue...), c)
-		start, err := waitpred.PredictStart(now, c, queue, st.Running,
+		wait, err := waitpred.PredictWait(now, c, queue, st.Running,
 			st.Nodes, p.Policy, p.Pred, nil, 0)
 		if err != nil {
 			continue
 		}
-		turn := (start - now) + predict.Estimate(p.Pred, c, 0, predict.DefaultRuntime)
+		turn := wait + predict.Estimate(p.Pred, c, 0, predict.DefaultRuntime)
 		if bestTurn < 0 || turn < bestTurn {
 			best, bestTurn = i, turn
 		}

@@ -82,7 +82,7 @@ func TestAllPoliciesInvariants(t *testing.T) {
 		func() sim.Policy { return LWF{Blocking: true} },
 		func() sim.Policy { return Backfill{} },
 		func() sim.Policy { return Backfill{EASY: true} },
-		func() sim.Policy { return ReservingBackfill{} },
+		func() sim.Policy { return Backfill{}.WithBook(&ReservationBook{}) },
 	}
 	preds := []func() predict.Predictor{
 		func() predict.Predictor { return predict.Oracle{} },
@@ -153,7 +153,7 @@ func TestReservingBackfillUnderLiveLoad(t *testing.T) {
 	if _, err := book.Add(resStart, resEnd, w.MachineNodes, w.MachineNodes); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(w, ReservingBackfill{Book: &book}, predict.MaxRuntime{}, sim.Options{})
+	res, err := sim.Run(w, Backfill{}.WithBook(&book), predict.MaxRuntime{}, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

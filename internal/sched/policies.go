@@ -20,10 +20,20 @@ func (FCFS) Name() string { return "FCFS" }
 
 // Pick starts the longest prefix of the arrival-ordered queue that fits.
 func (FCFS) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
+	return startInOrder(queue, free, true)
+}
+
+// startInOrder starts the jobs of ordered that fit in the free nodes, in
+// that order. A job that does not fit is skipped, or, when blocking, ends
+// the scan, as the queue head does under FCFS.
+func startInOrder(ordered []*workload.Job, free int, blocking bool) []*workload.Job {
 	var picked []*workload.Job
-	for _, j := range queue {
+	for _, j := range ordered {
 		if j.Nodes > free {
-			break
+			if blocking {
+				break
+			}
+			continue
 		}
 		picked = append(picked, j)
 		free -= j.Nodes
@@ -61,18 +71,7 @@ func (l LWF) Name() string {
 // equal-work jobs break deterministically in arrival order.
 func (l LWF) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
 	ordered := rankQueue(queue, func(j *workload.Job) int64 { return int64(j.Nodes) * est(j, 0) })
-	var picked []*workload.Job
-	for _, j := range ordered {
-		if j.Nodes > free {
-			if l.Blocking {
-				break
-			}
-			continue
-		}
-		picked = append(picked, j)
-		free -= j.Nodes
-	}
-	return picked
+	return startInOrder(ordered, free, l.Blocking)
 }
 
 // rankedJob pairs a queued job with its sort key and arrival index.
@@ -111,7 +110,8 @@ func rankQueue(queue []*workload.Job, key func(j *workload.Job) int64) []*worklo
 // receives a reservation of nodes at the earliest possible time (§2.1) —
 // i.e. conservative backfill. With EASY=true only the first blocked
 // application receives a reservation, reproducing the ANL/IBM EASY
-// scheduler's more aggressive variant for ablation studies.
+// scheduler's more aggressive variant for ablation studies. WithBook adds
+// advance reservations.
 type Backfill struct {
 	// EASY selects the aggressive variant (head-only reservation).
 	EASY bool
@@ -129,10 +129,52 @@ func (b Backfill) Name() string {
 // the predicted completion times of the running jobs, starting every job
 // whose earliest feasible start is now.
 func (b Backfill) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
-	p := runningProfile(now, running, free, est, 2*len(queue))
+	return b.pick(now, queue, running, free, est, nil)
+}
+
+// WithBook returns b extended with the advance reservations of book (paper
+// §5 future work): reserved node-time is walled off in the availability
+// profile, so queued jobs start and backfill only around it, and running
+// jobs never conflict with it (admission control is the book's job). Its
+// name is b's with "+resv" appended. A nil book returns b itself.
+//
+// The book is not a field of Backfill: a pointer field would make every
+// conversion of a Backfill value to sim.Policy allocate.
+func (b Backfill) WithBook(book *ReservationBook) sim.Policy {
+	if book == nil {
+		return b
+	}
+	return bookedBackfill{b, book}
+}
+
+// bookedBackfill is a Backfill that honours a reservation book.
+type bookedBackfill struct {
+	b    Backfill
+	book *ReservationBook
+}
+
+// Name implements sim.Policy.
+func (p bookedBackfill) Name() string { return p.b.Name() + "+resv" }
+
+// Pick implements sim.Policy.
+func (p bookedBackfill) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
+	return p.b.pick(now, queue, running, free, est, p.book.Active(now))
+}
+
+// pick is the backfill pass, with the reservations in book allocated on
+// top of the running jobs before the queue is fitted around both.
+func (b Backfill) pick(now int64, queue, running []*workload.Job, free int, est sim.Estimator, book []Reservation) []*workload.Job {
+	p := runningProfile(now, running, free, est, 2*(len(book)+len(queue)))
 	if p == nil {
 		// Inconsistent running set; fail safe by starting nothing.
 		return nil
+	}
+	for _, r := range book {
+		if err := p.Allocate(max(r.Start, now), r.End, r.Nodes); err != nil {
+			// An inadmissible book (e.g. reservations exceeding the
+			// currently running jobs' leftover capacity) fails safe.
+			return nil
+		}
 	}
 
 	var picked []*workload.Job

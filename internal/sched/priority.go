@@ -42,24 +42,13 @@ func (s SJF) Name() string {
 // arrival order.
 func (s SJF) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
 	ordered := rankQueue(queue, func(j *workload.Job) int64 { return est(j, 0) })
-	var picked []*workload.Job
-	for _, j := range ordered {
-		if j.Nodes > free {
-			if s.Blocking {
-				break
-			}
-			continue
-		}
-		picked = append(picked, j)
-		free -= j.Nodes
-	}
-	return picked
+	return startInOrder(ordered, free, s.Blocking)
 }
 
-// DefaultPriorities is the priority table PriorityFCFS uses when none is
-// configured, covering the SLO classes of the admission controller's
-// default configuration: interactive traffic first, then standard, then
-// sheddable batch. Unlisted classes rank 0, below all of these.
+// DefaultPriorities is the priority table PriorityFCFS ranks by, covering
+// the SLO classes of the admission controller's default configuration:
+// interactive traffic first, then standard, then sheddable batch.
+// Unlisted classes rank 0, below all of these.
 var DefaultPriorities = map[string]int{
 	"interactive": 300,
 	"standard":    200,
@@ -67,57 +56,23 @@ var DefaultPriorities = map[string]int{
 }
 
 // PriorityFCFS is FCFS within priority classes: the queue is ordered by
-// decreasing class priority, and jobs of equal priority keep their arrival
-// order. It needs no run-time predictions at all — the class label is the
-// only input — which makes it the natural companion to an admission
-// controller that already segregates traffic into SLO classes.
-//
-// Like LWF and SJF it is non-blocking by default (a job that does not fit
-// is skipped, not waited for); Blocking restores strict head-of-queue
-// semantics within the priority order.
-type PriorityFCFS struct {
-	// Priorities maps class labels to priorities; larger runs earlier.
-	// Nil selects DefaultPriorities. Classes not in the map rank 0.
-	Priorities map[string]int
-	// ClassOf extracts the job's class label; nil uses Job.Class.
-	ClassOf func(j *workload.Job) string
-	// Blocking stops the scan at the first job that does not fit.
-	Blocking bool
-}
+// decreasing DefaultPriorities rank of the job's Class, and jobs of equal
+// priority keep their arrival order. It needs no run-time predictions at
+// all — the class label is the only input — which makes it the natural
+// companion to an admission controller that already segregates traffic
+// into SLO classes. Like LWF and SJF it is non-blocking: a job that does
+// not fit is skipped, not waited for.
+type PriorityFCFS struct{}
 
 // Name implements sim.Policy.
-func (p PriorityFCFS) Name() string {
-	if p.Blocking {
-		return "Priority/blocking"
-	}
-	return "Priority"
-}
+func (PriorityFCFS) Name() string { return "Priority" }
 
 // Pick starts jobs in decreasing class priority, arrival order within a
-// class, skipping (or, if Blocking, stopping at) jobs that do not fit.
-func (p PriorityFCFS) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
-	prio := p.Priorities
-	if prio == nil {
-		prio = DefaultPriorities
-	}
-	classOf := p.ClassOf
-	if classOf == nil {
-		classOf = func(j *workload.Job) string { return j.Class }
-	}
+// class, skipping jobs that do not fit.
+func (PriorityFCFS) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
 	// rankQueue sorts ascending, so the key is the negated priority.
-	ordered := rankQueue(queue, func(j *workload.Job) int64 { return -int64(prio[classOf(j)]) })
-	var picked []*workload.Job
-	for _, j := range ordered {
-		if j.Nodes > free {
-			if p.Blocking {
-				break
-			}
-			continue
-		}
-		picked = append(picked, j)
-		free -= j.Nodes
-	}
-	return picked
+	ordered := rankQueue(queue, func(j *workload.Job) int64 { return -int64(DefaultPriorities[j.Class]) })
+	return startInOrder(ordered, free, false)
 }
 
 // Static interface checks.

@@ -54,6 +54,12 @@ func TestPriorityFCFSOrdersByClass(t *testing.T) {
 	if !sameIDs(picked, 2, 4, 3, 1) {
 		t.Fatalf("picked %v, want [2 4 3 1]", ids(picked))
 	}
+	// A higher-priority job that does not fit is skipped, not waited for.
+	queue[1].Nodes = 8
+	picked = PriorityFCFS{}.Pick(0, queue, nil, 4, 8, actualEst)
+	if !sameIDs(picked, 4, 3, 1) {
+		t.Fatalf("picked %v, want [4 3 1]", ids(picked))
+	}
 }
 
 func TestPriorityFCFSUnknownClassRanksLast(t *testing.T) {
@@ -64,41 +70,6 @@ func TestPriorityFCFSUnknownClassRanksLast(t *testing.T) {
 	picked := PriorityFCFS{}.Pick(0, queue, nil, 2, 8, actualEst)
 	if !sameIDs(picked, 2, 1) {
 		t.Fatalf("picked %v, want [2 1] (unknown class below batch)", ids(picked))
-	}
-}
-
-func TestPriorityFCFSCustomTableAndClassifier(t *testing.T) {
-	queue := []*workload.Job{
-		classedJob(1, 1, 100, ""),
-		classedJob(2, 1, 100, ""),
-	}
-	p := PriorityFCFS{
-		Priorities: map[string]int{"even": 10, "odd": 20},
-		ClassOf: func(j *workload.Job) string {
-			if j.ID%2 == 0 {
-				return "even"
-			}
-			return "odd"
-		},
-	}
-	picked := p.Pick(0, queue, nil, 2, 8, actualEst)
-	if !sameIDs(picked, 1, 2) {
-		t.Fatalf("picked %v, want [1 2] (odd outranks even)", ids(picked))
-	}
-}
-
-func TestPriorityFCFSBlocking(t *testing.T) {
-	queue := []*workload.Job{
-		classedJob(1, 8, 100, "interactive"), // does not fit in 4 free
-		classedJob(2, 1, 100, "batch"),
-	}
-	blocking := PriorityFCFS{Blocking: true}
-	if picked := blocking.Pick(0, queue, nil, 4, 8, actualEst); len(picked) != 0 {
-		t.Fatalf("blocking picked %v, want none", ids(picked))
-	}
-	nonBlocking := PriorityFCFS{}
-	if picked := nonBlocking.Pick(0, queue, nil, 4, 8, actualEst); !sameIDs(picked, 2) {
-		t.Fatalf("non-blocking picked %v, want [2]", ids(picked))
 	}
 }
 

@@ -218,8 +218,8 @@ func TestMinMaxFree(t *testing.T) {
 
 // allocatedProfile is the oracle for runningProfile: the profile that the
 // per-job Allocate loops build on a machine of free plus the running nodes,
-// with the book's reservations allocated first (as ReservingBackfill.Pick
-// once did) and then every running job from now to its estimated end. nil
+// with the book's reservations allocated first (as Backfill.Pick
+// with a Book once did) and then every running job from now to its estimated end. nil
 // when an allocation fails.
 func allocatedProfile(now int64, running []*workload.Job, free int, est sim.Estimator, book []Reservation) *Profile {
 	capacity := free
@@ -243,7 +243,7 @@ func allocatedProfile(now int64, running []*workload.Job, free int, est sim.Esti
 }
 
 // allocateBook allocates the part of each reservation from now on, as
-// ReservingBackfill.Pick does.
+// Backfill.Pick does with a Book.
 func allocateBook(p *Profile, now int64, book []Reservation) error {
 	for _, r := range book {
 		if err := p.Allocate(max(r.Start, now), r.End, r.Nodes); err != nil {
@@ -267,7 +267,7 @@ func sameProfile(a, b *Profile) bool {
 // breakpoints, same free counts, same failures — over random running sets
 // with tied ends, ends at or before now, free counts of zero and below,
 // and jobs holding no nodes. With a random reservation book allocated on
-// top (ReservingBackfill's order), it must still equal the profile, or the
+// top (Backfill's order when it has a Book), it must still equal the profile, or the
 // failure, of allocating the book first and the running jobs second.
 func TestRunningProfileMatchesAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -3,16 +3,13 @@ package sched
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // This file implements the paper's second future-work direction (§5):
 // "combining queue-based scheduling and reservations. Reservations are one
 // way to co-allocate resources in metacomputing systems." A ReservationBook
-// holds externally granted advance reservations; ReservingBackfill is the
-// backfill algorithm extended to schedule queued work around them.
+// holds externally granted advance reservations; Backfill.WithBook
+// schedules queued work around them.
 
 // Reservation is a fixed advance claim on nodes during [Start, End).
 type Reservation struct {
@@ -112,69 +109,3 @@ func (b *ReservationBook) EarliestSlot(from, dur int64, nodes, total int) (int64
 	}
 	return p.EarliestFit(from, dur, nodes), nil
 }
-
-// ReservingBackfill is the backfill algorithm extended with advance
-// reservations: reserved node-time is walled off in the availability
-// profile, so queued jobs start and backfill only around it, and running
-// jobs never conflict with it (admission control is the book's job).
-type ReservingBackfill struct {
-	Book *ReservationBook
-	// EASY selects head-only reservations for queued jobs, as in Backfill.
-	EASY bool
-}
-
-// Name implements sim.Policy.
-func (p ReservingBackfill) Name() string {
-	if p.EASY {
-		return "Backfill/EASY+resv"
-	}
-	return "Backfill+resv"
-}
-
-// Pick mirrors Backfill.Pick with the book's reservations allocated on top
-// of the running jobs.
-func (p ReservingBackfill) Pick(now int64, queue, running []*workload.Job, free, total int, est sim.Estimator) []*workload.Job {
-	var book []Reservation
-	if p.Book != nil {
-		book = p.Book.Active(now)
-	}
-	prof := runningProfile(now, running, free, est, 2*(len(book)+len(queue)))
-	if prof == nil {
-		return nil
-	}
-	for _, r := range book {
-		s := r.Start
-		if s < now {
-			s = now
-		}
-		if err := prof.Allocate(s, r.End, r.Nodes); err != nil {
-			// An inadmissible book (e.g. reservations exceeding the
-			// currently running jobs' leftover capacity) fails safe.
-			return nil
-		}
-	}
-
-	var picked []*workload.Job
-	reserved := false
-	for _, j := range queue {
-		d := est(j, 0)
-		t := prof.EarliestFit(now, d, j.Nodes)
-		switch {
-		case t == now:
-			if err := prof.Allocate(now, now+d, j.Nodes); err != nil {
-				continue
-			}
-			picked = append(picked, j)
-		case p.EASY && reserved:
-			// Later blocked jobs receive no queue reservation under EASY.
-		default:
-			if err := prof.Allocate(t, t+d, j.Nodes); err == nil {
-				reserved = true
-			}
-		}
-	}
-	return picked
-}
-
-// Static check.
-var _ sim.Policy = ReservingBackfill{}

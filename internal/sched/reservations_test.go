@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -90,7 +91,7 @@ func TestReservingBackfillWallsOffReservation(t *testing.T) {
 	if _, err := b.Add(100, 200, 4, 4); err != nil {
 		t.Fatal(err)
 	}
-	pol := ReservingBackfill{Book: &b}
+	pol := Backfill{}.WithBook(&b)
 	queue := []*workload.Job{
 		job(1, 4, 50),  // ends at 50 < 100: may start
 		job(2, 4, 150), // would overlap the reservation: must wait
@@ -111,13 +112,24 @@ func TestReservingBackfillWallsOffReservation(t *testing.T) {
 	}
 }
 
+// TestReservingBackfillWithoutBookEqualsBackfill: a book with no
+// reservations walls off nothing, so backfill picks as it does with none,
+// and only the name tells the two apart; a nil book is no book at all.
 func TestReservingBackfillWithoutBookEqualsBackfill(t *testing.T) {
 	running := []*workload.Job{runningJob(10, 2, 0, 100)}
 	queue := []*workload.Job{job(1, 4, 500), job(2, 2, 50)}
-	plain := Backfill{}.Pick(0, queue, running, 2, 4, actualEst)
-	withNil := ReservingBackfill{}.Pick(0, queue, running, 2, 4, actualEst)
-	if len(plain) != len(withNil) || (len(plain) > 0 && plain[0].ID != withNil[0].ID) {
-		t.Fatalf("nil-book ReservingBackfill diverges: %v vs %v", ids(plain), ids(withNil))
+	for _, plain := range []Backfill{{}, {EASY: true}} {
+		withBook := plain.WithBook(&ReservationBook{})
+		got, want := withBook.Pick(0, queue, running, 2, 4, actualEst), plain.Pick(0, queue, running, 2, 4, actualEst)
+		if !slices.Equal(ids(got), ids(want)) {
+			t.Fatalf("%s picked %v, %s picked %v", withBook.Name(), ids(got), plain.Name(), ids(want))
+		}
+		if withBook.Name() != plain.Name()+"+resv" {
+			t.Fatalf("names %q and %q, want the book's to add +resv", withBook.Name(), plain.Name())
+		}
+		if p := plain.WithBook(nil); p != plain {
+			t.Fatalf("WithBook(nil) = %v, want %v", p, plain)
+		}
 	}
 }
 
@@ -126,7 +138,7 @@ func TestReservingBackfillBackfillsAroundReservation(t *testing.T) {
 	if _, err := b.Add(100, 200, 3, 4); err != nil {
 		t.Fatal(err)
 	}
-	pol := ReservingBackfill{Book: &b}
+	pol := Backfill{}.WithBook(&b)
 	queue := []*workload.Job{
 		job(1, 4, 300), // needs all nodes: blocked until 200, queue-reserved there
 		job(2, 1, 80),  // finishes before the advance reservation: backfills now

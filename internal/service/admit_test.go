@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/core"
-	"repro/internal/obs/trace"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -137,28 +136,5 @@ func TestAdmitMetricsOnSnapshot(t *testing.T) {
 	}
 	if got := snap.Gauges["admission.headroom"]; got != 1.0 {
 		t.Errorf("admission.headroom = %g, want 1", got)
-	}
-}
-
-func TestAdmitTraceDecomposition(t *testing.T) {
-	ts, s := newAdmitServer(t)
-	tr := trace.New(trace.WithSampleRate(1))
-	s.SetTracer(tr)
-
-	var d AdmitResponse
-	post(t, ts.URL+"/v1/admit", AdmitRequest{Now: 0, Job: classedJob(1, 8, 600, "standard")}, &d)
-
-	recent := tr.Recent()
-	if len(recent) == 0 {
-		t.Fatal("no trace kept")
-	}
-	names := map[string]bool{}
-	for _, sp := range recent[0].Spans {
-		names[sp.Name] = true
-	}
-	for _, want := range []string{"http.admit", "admission.decide", "waitpred.simulate"} {
-		if !names[want] {
-			t.Errorf("trace missing span %q (have %v)", want, names)
-		}
 	}
 }

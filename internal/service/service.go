@@ -291,6 +291,10 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 // text/plain or application/openmetrics-text (or ?format=prometheus),
 // each with its explicit Content-Type.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		errorJSON(w, http.StatusMethodNotAllowed, "GET required")
+		return
+	}
 	s.reg.Gauge("predictor.categories").SetInt(int64(s.pred.Categories()))
 	s.reg.Gauge("predictor.history_size").SetInt(int64(s.pred.HistorySize()))
 	s.reg.Gauge("predictor.templates").SetInt(int64(len(s.pred.Templates())))
@@ -383,7 +387,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.pred.Store()
-	if err := st.SnapshotCtx(r.Context()); err != nil {
+	if err := st.Snapshot(r.Context()); err != nil {
 		errorJSON(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -674,6 +678,10 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		errorJSON(w, http.StatusMethodNotAllowed, "GET required")
+		return
+	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Categories:   s.pred.Categories(),
 		Observations: s.observations.Load(),

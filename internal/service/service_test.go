@@ -296,6 +296,18 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestReadEndpointsRequireGET: the read-only endpoints answer 405 to any
+// method but GET.
+func TestReadEndpointsRequireGET(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, path := range []string{"/v1/stats", "/v1/metrics", "/v1/traces", "/v1/accuracy", "/v1/stable"} {
+		resp := post(t, ts.URL+path, nil, nil)
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s: status %d, want %d", path, resp.StatusCode, http.StatusMethodNotAllowed)
+		}
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var wg sync.WaitGroup

@@ -4,11 +4,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/admission"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/sched"
 )
 
 // getWithAccept issues a GET with an Accept header and returns the
@@ -85,73 +89,100 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 }
 
-// TestPredictTraceDecomposition is the tracing acceptance check: with a
-// tracer attached, a kept /v1/predict trace decomposes into at least four
-// named child spans below the HTTP root, through the predictor into the
-// history store.
-func TestPredictTraceDecomposition(t *testing.T) {
+// spanEdges returns the distinct parent→child span-name edges of a kept
+// trace, sorted.
+func spanEdges(tr trace.Trace) []string {
+	seen := make(map[string]bool)
+	for _, sp := range tr.Spans {
+		if sp.Parent >= 0 {
+			seen[tr.Spans[sp.Parent].Name+"→"+sp.Name] = true
+		}
+	}
+	edges := make([]string, 0, len(seen))
+	for e := range seen {
+		edges = append(edges, e)
+	}
+	sort.Strings(edges)
+	return edges
+}
+
+// TestSpanTrees pins the span tree of every traced endpoint. With a tracer
+// that keeps every request and a durable store, each endpoint's trace has
+// exactly the listed parent→child edges. A layer that calls the next one
+// without the request's ctx (a handler calling PredictDetailed instead of
+// PredictDetailedCtx, say) drops that subtree, and its edges go missing.
+func TestSpanTrees(t *testing.T) {
 	ts, s, _ := newStoreServer(t)
+	ctrl, err := admission.New(admission.Config{
+		Classes:    admission.DefaultClasses(),
+		TotalNodes: 64,
+		Policy:     sched.Backfill{},
+		Predictor:  s.pred,
+		Metrics:    s.Metrics(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetAdmission(ctrl)
 	tr := trace.New(trace.WithSampleRate(1))
 	s.SetTracer(tr)
-
 	for i := 1; i <= 5; i++ {
 		post(t, ts.URL+"/v1/observe", ObserveRequest{Job: job(i, "alice", 4, int64(100*i), 1000)}, nil)
 	}
-	var pr PredictResponse
-	post(t, ts.URL+"/v1/predict", PredictRequest{Job: job(9, "alice", 4, 0, 1000)}, &pr)
-	if !pr.OK {
-		t.Fatalf("predict missed after observations: %+v", pr)
-	}
 
-	var got *trace.Trace
-	for i := range tr.Recent() {
-		if tr.Recent()[i].Root == "http.predict" {
-			got = &tr.Recent()[i]
-			break
+	// A prediction with history: every template renders its key, looks the
+	// category up, and estimates from it.
+	predictTree := []string{"core.predict→template_match", "template_match→estimate", "template_match→histstore.view"}
+	queued := job(9, "alice", 4, 0, 1000)
+	running := []JobJSON{job(10, "bob", 64, 0, 500)}
+	for _, tc := range []struct {
+		endpoint, path string
+		body           interface{}
+		edges          []string
+	}{
+		// The completion is scored before it enters the history, so the
+		// observe tree holds a full prediction beside the inserts.
+		{"observe", "/v1/observe", ObserveRequest{Job: job(6, "alice", 4, 600, 1000)}, append([]string{
+			"http.observe→core.predict", "http.observe→core.observe",
+			"core.observe→histstore.insert", "histstore.insert→histstore.wal_append",
+		}, predictTree...)},
+		{"predict", "/v1/predict", PredictRequest{Job: queued}, append([]string{
+			"http.predict→core.predict",
+		}, predictTree...)},
+		{"predict_batch", "/v1/predict/batch", PredictBatchRequest{Jobs: []PredictRequest{{Job: queued}, {Job: queued, Age: 60}}}, append([]string{
+			"http.predict_batch→core.predict_batch", "core.predict_batch→core.predict",
+		}, predictTree...)},
+		{"predictwait", "/v1/predictwait", PredictWaitRequest{Target: queued, Queue: []JobJSON{queued}, Running: running}, []string{
+			"http.predictwait→waitpred.simulate",
+		}},
+		{"admit", "/v1/admit", AdmitRequest{Job: classedJob(9, 4, 1000, "standard"), Running: running}, []string{
+			"admission.decide→waitpred.simulate", "http.admit→admission.decide",
+		}},
+		{"checkpoint", "/v1/checkpoint", nil, []string{
+			"http.checkpoint→histstore.snapshot",
+		}},
+	} {
+		if resp := post(t, ts.URL+tc.path, tc.body, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.endpoint, resp.StatusCode)
+		}
+		kept := tr.Recent()[0]
+		if kept.Root != "http."+tc.endpoint {
+			t.Fatalf("%s: newest trace is rooted at %q", tc.endpoint, kept.Root)
+		}
+		sort.Strings(tc.edges)
+		if got := spanEdges(kept); !slices.Equal(got, tc.edges) {
+			t.Errorf("%s span edges:\n got %q\nwant %q", tc.endpoint, got, tc.edges)
 		}
 	}
-	if got == nil {
-		t.Fatalf("no http.predict trace kept; recent: %+v", tr.Recent())
-	}
-	names := make(map[string]int)
-	children := 0
-	for _, sp := range got.Spans {
-		names[sp.Name]++
-		if sp.Parent >= 0 {
-			children++
-		}
-	}
-	for _, want := range []string{"core.predict", "template_match", "histstore.view", "estimate"} {
-		if names[want] == 0 {
-			t.Fatalf("trace missing %q span; spans: %v", want, names)
-		}
-	}
-	if children < 4 {
-		t.Fatalf("predict trace has %d child spans, want >= 4", children)
-	}
+}
 
-	// The observe path decomposes too, down to the WAL append.
-	var obsTrace *trace.Trace
-	for i := range tr.Recent() {
-		if tr.Recent()[i].Root == "http.observe" {
-			obsTrace = &tr.Recent()[i]
-			break
-		}
-	}
-	if obsTrace == nil {
-		t.Fatalf("no http.observe trace kept")
-	}
-	obsNames := make(map[string]int)
-	for _, sp := range obsTrace.Spans {
-		obsNames[sp.Name]++
-	}
-	for _, want := range []string{"core.observe", "histstore.insert", "histstore.wal_append"} {
-		if obsNames[want] == 0 {
-			t.Fatalf("observe trace missing %q span; spans: %v", want, obsNames)
-		}
-	}
+// TestTracesEndpointServesKeptTraces: /v1/traces serves the tracer's ring
+// of kept traces as JSON.
+func TestTracesEndpointServesKeptTraces(t *testing.T) {
+	ts, s := newTestServer(t)
+	s.SetTracer(trace.New(trace.WithSampleRate(1)))
+	post(t, ts.URL+"/v1/observe", ObserveRequest{Job: job(1, "alice", 4, 100, 1000)}, nil)
 
-	// And /v1/traces serves the same ring.
 	resp, body := getWithAccept(t, ts.URL+"/v1/traces", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/traces status %d", resp.StatusCode)

@@ -23,22 +23,23 @@ import (
 	"repro/internal/workload"
 )
 
-// PredictStartCtx is PredictStart with the forward simulation recorded as
-// a "waitpred.simulate" child span of the trace active in ctx (policy and
-// scheduler-state sizes as attributes). Without an active trace it is
-// exactly PredictStart.
+// PredictStartCtx simulates the scheduler forward from the given state and
+// returns the predicted start time of target (see predictStart). Under a
+// trace active in ctx the forward simulation is recorded as a
+// "waitpred.simulate" child span, with the policy and the scheduler-state
+// sizes as attributes.
 func PredictStartCtx(ctx context.Context, now int64, target *workload.Job,
 	queue, running []*workload.Job, totalNodes int, pol sim.Policy,
 	pred predict.Predictor, decision predict.Predictor, defaultRT int64) (int64, error) {
 
 	_, sp := trace.StartSpan(ctx, "waitpred.simulate")
 	if sp == nil {
-		return PredictStart(now, target, queue, running, totalNodes, pol, pred, decision, defaultRT)
+		return predictStart(now, target, queue, running, totalNodes, pol, pred, decision, defaultRT)
 	}
 	sp.SetAttr("policy", pol.Name())
 	sp.SetAttrInt("queued", int64(len(queue)))
 	sp.SetAttrInt("running", int64(len(running)))
-	start, err := PredictStart(now, target, queue, running, totalNodes, pol, pred, decision, defaultRT)
+	start, err := predictStart(now, target, queue, running, totalNodes, pol, pred, decision, defaultRT)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	}
@@ -67,7 +68,7 @@ func (h *endHeap) Pop() interface{} {
 	return x
 }
 
-// PredictStart simulates the scheduler forward from the given state and
+// predictStart simulates the scheduler forward from the given state and
 // returns the predicted start time of target. target must be an element of
 // queue; totalNodes is the machine size. The inputs are not modified.
 //
@@ -82,7 +83,7 @@ func (h *endHeap) Pop() interface{} {
 //     times in the paper's deployed configuration — §3 attributes the small
 //     residual backfill error to "scheduling [being] performed using maximum
 //     run times"). Pass nil to use pred for decisions as well.
-func PredictStart(now int64, target *workload.Job, queue, running []*workload.Job,
+func predictStart(now int64, target *workload.Job, queue, running []*workload.Job,
 	totalNodes int, pol sim.Policy, pred predict.Predictor, decision predict.Predictor,
 	defaultRT int64) (int64, error) {
 
@@ -200,12 +201,12 @@ func anyFits(queue []*workload.Job, free int) bool {
 	return false
 }
 
-// PredictWait is PredictStart expressed as a wait: predicted start minus the
+// PredictWait is PredictStartCtx expressed as a wait: predicted start minus the
 // target's submission time.
 func PredictWait(now int64, target *workload.Job, queue, running []*workload.Job,
 	totalNodes int, pol sim.Policy, pred predict.Predictor, decision predict.Predictor,
 	defaultRT int64) (int64, error) {
-	start, err := PredictStart(now, target, queue, running, totalNodes, pol, pred, decision, defaultRT)
+	start, err := predictStart(now, target, queue, running, totalNodes, pol, pred, decision, defaultRT)
 	if err != nil {
 		return 0, err
 	}

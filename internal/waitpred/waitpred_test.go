@@ -26,7 +26,7 @@ func running(id int, start, rt int64, nodes int) *workload.Job {
 
 func TestImmediateStart(t *testing.T) {
 	target := j(1, 100, 50, 2)
-	start, err := PredictStart(100, target, []*workload.Job{target}, nil,
+	start, err := predictStart(100, target, []*workload.Job{target}, nil,
 		4, sched.FCFS{}, predict.Oracle{}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestQueueAheadFCFS(t *testing.T) {
 	q1 := j(1, 10, 100, 4)
 	q2 := j(2, 20, 100, 4)
 	target := j(3, 30, 10, 4)
-	start, err := PredictStart(30, target, []*workload.Job{q1, q2, target},
+	start, err := predictStart(30, target, []*workload.Job{q1, q2, target},
 		[]*workload.Job{r}, 4, sched.FCFS{}, predict.Oracle{}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestLWFReordersQueue(t *testing.T) {
 	r := running(10, 0, 100, 4)
 	big := j(1, 10, 10000, 4)
 	target := j(2, 20, 10, 4)
-	start, err := PredictStart(20, target, []*workload.Job{big, target},
+	start, err := predictStart(20, target, []*workload.Job{big, target},
 		[]*workload.Job{r}, 4, sched.LWF{}, predict.Oracle{}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestLWFReordersQueue(t *testing.T) {
 		t.Fatalf("LWF start = %d, want 100 (overtakes big job)", start)
 	}
 	// Under FCFS it cannot.
-	start, err = PredictStart(20, target, []*workload.Job{big, target},
+	start, err = predictStart(20, target, []*workload.Job{big, target},
 		[]*workload.Job{r}, 4, sched.FCFS{}, predict.Oracle{}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestBackfillPredictedStart(t *testing.T) {
 	r := running(10, 0, 100, 2)
 	blocked := j(1, 5, 500, 4)
 	target := j(2, 9, 50, 2)
-	start, err := PredictStart(9, target, []*workload.Job{blocked, target},
+	start, err := predictStart(9, target, []*workload.Job{blocked, target},
 		[]*workload.Job{r}, 4, sched.Backfill{}, predict.Oracle{}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestPessimisticPredictorDelaysEstimate(t *testing.T) {
 
 func TestTargetNotInQueue(t *testing.T) {
 	target := j(1, 0, 50, 2)
-	if _, err := PredictStart(0, target, nil, nil, 4, sched.FCFS{}, predict.Oracle{}, nil, 0); err == nil {
+	if _, err := predictStart(0, target, nil, nil, 4, sched.FCFS{}, predict.Oracle{}, nil, 0); err == nil {
 		t.Fatal("missing target should error")
 	}
 }
@@ -155,7 +155,7 @@ func TestRunningExceedsMachine(t *testing.T) {
 	r1 := running(10, 0, 100, 3)
 	r2 := running(11, 0, 100, 3)
 	target := j(1, 0, 50, 2)
-	_, err := PredictStart(0, target, []*workload.Job{target},
+	_, err := predictStart(0, target, []*workload.Job{target},
 		[]*workload.Job{r1, r2}, 4, sched.FCFS{}, predict.Oracle{}, nil, 0)
 	if err == nil {
 		t.Fatal("over-committed running set should error")
@@ -166,7 +166,7 @@ func TestInputsNotMutated(t *testing.T) {
 	r := running(10, 0, 100, 4)
 	q1 := j(1, 0, 200, 4)
 	target := j(2, 0, 50, 4)
-	if _, err := PredictStart(0, target, []*workload.Job{q1, target},
+	if _, err := predictStart(0, target, []*workload.Job{q1, target},
 		[]*workload.Job{r}, 4, sched.FCFS{}, predict.Oracle{}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +262,9 @@ func TestLWFOracleHasBuiltInError(t *testing.T) {
 	}
 }
 
-// referenceStart is PredictStart's forward simulation without the skip of
+// referenceStart is predictStart's forward simulation without the skip of
 // passes in which no queued job fits: it asks the policy at every pass. It
-// is the oracle TestSkippedPassesAreExact holds PredictStart to.
+// is the oracle TestSkippedPassesAreExact holds predictStart to.
 func referenceStart(now int64, target *workload.Job, queue, running []*workload.Job,
 	totalNodes int, pol sim.Policy, pred, decision predict.Predictor) (int64, error) {
 
@@ -332,7 +332,7 @@ func referenceStart(now int64, target *workload.Job, queue, running []*workload.
 // TestSkippedPassesAreExact checks that skipping the scheduling passes in
 // which no queued job fits changes no prediction: on random snapshots, for
 // every sched.ByName policy and both the exact (oracle) and compressed
-// (oracle durations, maximum-run-time decisions) setups, PredictStart
+// (oracle durations, maximum-run-time decisions) setups, predictStart
 // returns what a simulation that asks the policy at every pass returns.
 // Node counts are powers of two on a 16-node machine, so passes in which
 // only an exact fit (Nodes == free) can start are common.
@@ -368,9 +368,9 @@ func TestSkippedPassesAreExact(t *testing.T) {
 			for _, decision := range []predict.Predictor{nil, predict.MaxRuntime{}} {
 				pol := sched.ByName(name)
 				want, werr := referenceStart(now, target, queue, run, total, pol, predict.Oracle{}, decision)
-				got, err := PredictStart(now, target, queue, run, total, pol, predict.Oracle{}, decision, 0)
+				got, err := predictStart(now, target, queue, run, total, pol, predict.Oracle{}, decision, 0)
 				if (err != nil) != (werr != nil) || got != want {
-					t.Fatalf("trial %d, %s, decision %v: PredictStart = %d, %v; every-pass reference = %d, %v",
+					t.Fatalf("trial %d, %s, decision %v: predictStart = %d, %v; every-pass reference = %d, %v",
 						trial, name, decision, got, err, want, werr)
 				}
 				snapshots++
