@@ -481,8 +481,8 @@ func TestAllocationCeilings(t *testing.T) {
 		{"PredictHotPathTracerDisabled", 0, func() { predictCtx(context.Background(), t, p, probe) }},
 		{"PredictHotPathTracerEnabled", 80, func() { tracedPredict(t, tr, p, probe) }},
 		{"PredictBatch", 12, func() { predictBatch(t, p, items) }},
-		{"PredictWait", 393, func() { predictWait(t, queue, running) }},
-		{"SimRun", 1591, func() { simRun(t, w) }},
+		{"PredictWait", 392, func() { predictWait(t, queue, running) }},
+		{"SimRun", 1280, func() { simRun(t, w) }},
 	} {
 		if n := testing.AllocsPerRun(20, c.op); n > c.ceiling {
 			t.Errorf("%s: %v allocs per op, ceiling %v", c.name, n, c.ceiling)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // fill streams a deterministic workload of inserts into the store,
@@ -510,5 +511,75 @@ func TestReadFrameDistinguishesIOErrors(t *testing.T) {
 	r = bufio.NewReader(bytes.NewReader(mangled))
 	if _, _, err := readFrame(r); !errors.Is(err, errTornRecord) {
 		t.Fatalf("corrupt frame surfaced as %v, want errTornRecord", err)
+	}
+}
+
+// TestCategoryCap pins the bound WithMaxCategories puts on how many
+// category rings a store holds. With the cap full, a new key is refused
+// with ErrCategoryLimit and leaves no trace: the category and point counts
+// and the WAL are unchanged. The refusal must not wedge the store: an
+// insert into an existing category still succeeds, and a later new key on
+// the refused key's shard is refused again within a deadline instead of
+// blocking on the shard's writer lock.
+func TestCategoryCap(t *testing.T) {
+	const limit = 4
+	dir := t.TempDir()
+	s, err := Open(dir, WithMaxCategories(limit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, WALFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	// insert runs one Insert under a deadline, so a leaked shard lock
+	// fails the test instead of hanging it.
+	insert := func(key string) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- s.Insert(context.Background(), []byte(key), 0, pt(100, 200, 4)) }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Insert(%q) still blocked after 5s", key)
+			return nil
+		}
+	}
+	for i := 0; i < limit; i++ {
+		if err := insert(fmt.Sprintf("k%d", i)); err != nil {
+			t.Fatalf("insert %d of %d: %v", i+1, limit, err)
+		}
+	}
+	cats, points, wal := s.Categories(), s.Points(), walSize()
+
+	if err := insert("over"); !errors.Is(err, ErrCategoryLimit) {
+		t.Fatalf("new key past the cap of %d: err %v, want ErrCategoryLimit", limit, err)
+	}
+	if s.Categories() != cats || s.Points() != points || walSize() != wal {
+		t.Fatalf("refused insert changed the store: categories %d → %d, points %d → %d, WAL %d → %d bytes",
+			cats, s.Categories(), points, s.Points(), wal, walSize())
+	}
+
+	if err := insert("k0"); err != nil {
+		t.Fatalf("insert into an existing category after a refusal: %v", err)
+	}
+	if s.Points() != points+1 {
+		t.Fatalf("points %d after an accepted insert, want %d", s.Points(), points+1)
+	}
+
+	sameShard := ""
+	for i := 0; sameShard == ""; i++ {
+		if k := fmt.Sprintf("over%d", i); s.shardOf([]byte(k)) == s.shardOf([]byte("over")) {
+			sameShard = k
+		}
+	}
+	if err := insert(sameShard); !errors.Is(err, ErrCategoryLimit) {
+		t.Fatalf("second new key on the refused key's shard: err %v, want ErrCategoryLimit", err)
 	}
 }

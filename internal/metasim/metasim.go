@@ -12,7 +12,6 @@
 package metasim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -54,31 +53,8 @@ type Router interface {
 
 // machine is the live state of one simulated machine.
 type machine struct {
-	spec    MachineSpec
-	queue   []*workload.Job
-	running endHeap
-	free    int
-}
-
-// endHeap orders running jobs by end time (ties by ID).
-type endHeap []*workload.Job
-
-func (h endHeap) Len() int { return len(h) }
-func (h endHeap) Less(i, j int) bool {
-	if h[i].EndTime != h[j].EndTime {
-		return h[i].EndTime < h[j].EndTime
-	}
-	return h[i].ID < h[j].ID
-}
-func (h endHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x interface{}) { *h = append(*h, x.(*workload.Job)) }
-func (h *endHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
+	spec MachineSpec
+	sim.Machine
 }
 
 // MachineResult summarizes one machine after the run.
@@ -114,7 +90,7 @@ func Run(jobs []*workload.Job, specs []MachineSpec, router Router, pred predict.
 		if s.Nodes <= 0 || s.Policy == nil {
 			return nil, fmt.Errorf("metasim: machine %q misconfigured", s.Name)
 		}
-		ms[i] = &machine{spec: s, free: s.Nodes}
+		ms[i] = &machine{spec: s, Machine: sim.Machine{Nodes: s.Nodes, Free: s.Nodes}}
 		if s.Nodes > maxNodes {
 			maxNodes = s.Nodes
 		}
@@ -128,64 +104,32 @@ func Run(jobs []*workload.Job, specs []MachineSpec, router Router, pred predict.
 	var all []*workload.Job
 	var placed []int
 
-	schedule := func(m *machine, now int64) error {
-		for len(m.queue) > 0 {
-			picked := m.spec.Policy.Pick(now, m.queue, m.running, m.free, m.spec.Nodes, est)
-			if len(picked) == 0 {
-				return nil
-			}
-			for _, j := range picked {
-				if j.Nodes > m.free {
-					return fmt.Errorf("metasim: %s overpicked", m.spec.Name)
-				}
-				m.free -= j.Nodes
-				j.StartTime = now
-				j.EndTime = now + j.RunTime
-				for i, q := range m.queue {
-					if q == j {
-						m.queue = append(m.queue[:i], m.queue[i+1:]...)
-						break
-					}
-				}
-				heap.Push(&m.running, j)
-			}
-		}
-		return nil
-	}
-
+	// Each event instant follows sim.Run's order: completions, then
+	// arrivals, then scheduling passes.
 	next := 0
 	for next < len(jobs) || anyRunning(ms) {
 		// Next event: earliest finish across machines vs next arrival.
-		now := int64(1<<62 - 1)
+		now, haveEvent := int64(1<<62-1), false
 		if next < len(jobs) {
-			now = jobs[next].SubmitTime
+			now, haveEvent = jobs[next].SubmitTime, true
 		}
-		finIdx := -1
-		for i, m := range ms {
-			if len(m.running) > 0 && m.running[0].EndTime < now {
-				now = m.running[0].EndTime
-				finIdx = i
+		for _, m := range ms {
+			if len(m.Running) > 0 && m.Running[0].EndTime < now {
+				now, haveEvent = m.Running[0].EndTime, true
 			}
 		}
-		if finIdx >= 0 {
-			// Drain all finishes at this instant on every machine.
-			for _, m := range ms {
-				for len(m.running) > 0 && m.running[0].EndTime == now {
-					j := heap.Pop(&m.running).(*workload.Job)
-					m.free += j.Nodes
-					pred.Observe(j)
-				}
-				if err := schedule(m, now); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if next >= len(jobs) {
+		if !haveEvent {
 			// No arrivals and nothing running but queues non-empty: wedged.
 			return nil, fmt.Errorf("metasim: wedged with queued jobs")
 		}
-		// Arrivals at this instant.
+		// 1. Completions at this instant on every machine, before arrivals,
+		// so freed nodes are visible to the router.
+		for _, m := range ms {
+			for j := m.Finish(now); j != nil; j = m.Finish(now) {
+				pred.Observe(j)
+			}
+		}
+		// 2. Arrivals at this instant.
 		for next < len(jobs) && jobs[next].SubmitTime == now {
 			j := jobs[next].Clone()
 			next++
@@ -206,11 +150,14 @@ func Run(jobs []*workload.Job, specs []MachineSpec, router Router, pred predict.
 			}
 			mi := cands[pick]
 			res.Routed[mi]++
-			ms[mi].queue = append(ms[mi].queue, j)
+			ms[mi].Queue = append(ms[mi].Queue, j)
 			all = append(all, j)
 			placed = append(placed, mi)
-			if err := schedule(ms[mi], now); err != nil {
-				return nil, err
+		}
+		// 3. Scheduling passes on every machine.
+		for _, m := range ms {
+			if _, err := m.Schedule(now, m.spec.Policy, est, nil, nil); err != nil {
+				return nil, fmt.Errorf("metasim: %s: %w", m.spec.Name, err)
 			}
 		}
 	}
@@ -255,7 +202,7 @@ func Run(jobs []*workload.Job, specs []MachineSpec, router Router, pred predict.
 
 func anyRunning(ms []*machine) bool {
 	for _, m := range ms {
-		if len(m.running) > 0 || len(m.queue) > 0 {
+		if len(m.Running) > 0 || len(m.Queue) > 0 {
 			return true
 		}
 	}
@@ -269,14 +216,14 @@ func snapshot(ms []*machine, now int64, est sim.Estimator) []MachineState {
 		st := MachineState{
 			Name:    m.spec.Name,
 			Nodes:   m.spec.Nodes,
-			Free:    m.free,
-			Queue:   append([]*workload.Job(nil), m.queue...),
-			Running: append([]*workload.Job(nil), m.running...),
+			Free:    m.Free,
+			Queue:   append([]*workload.Job(nil), m.Queue...),
+			Running: append([]*workload.Job(nil), m.Running...),
 		}
-		for _, q := range m.queue {
+		for _, q := range m.Queue {
 			st.QueuedWork += int64(q.Nodes) * est(q, 0)
 		}
-		for _, r := range m.running {
+		for _, r := range m.Running {
 			age := now - r.StartTime
 			remaining := est(r, age) - age
 			if remaining < 1 {

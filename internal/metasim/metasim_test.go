@@ -150,3 +150,31 @@ func TestInputJobsNotMutated(t *testing.T) {
 		t.Fatal("input mutated")
 	}
 }
+
+// TestCompletionBeforeArrival checks metasim's event order: a completion is
+// seen before an arrival at the same instant, as in sim.Run. Job 3 arrives
+// at the instant job 1, the only job on machine "a", ends; machine "b" is
+// still busy, so least-work must route job 3 to the idle "a". Routed before
+// the completion, "a" would still hold job 1 with 9900 s of its maximum run
+// time left, against 901 s on "b".
+func TestCompletionBeforeArrival(t *testing.T) {
+	specs := []MachineSpec{
+		{Name: "a", Nodes: 16, Policy: sched.FCFS{}},
+		{Name: "b", Nodes: 16, Policy: sched.FCFS{}},
+	}
+	j1 := jb(1, 0, 100, 16)
+	j1.MaxRunTime = 10000
+	j2 := jb(2, 1, 1000, 16)
+	j2.MaxRunTime = 1000
+	j3 := jb(3, 100, 10, 16)
+	res, err := Run([]*workload.Job{j1, j2, j3}, specs, LeastWork{}, predict.MaxRuntime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Routed[0] != 2 || res.Routed[1] != 1 {
+		t.Fatalf("routed %v, want [2 1]: job 3 belongs on the machine its arrival instant freed", res.Routed)
+	}
+	if res.MaxWaitMin != 0 {
+		t.Fatalf("max wait %.2f min, want 0: job 3 starts on arrival", res.MaxWaitMin)
+	}
+}

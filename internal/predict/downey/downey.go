@@ -40,15 +40,16 @@ const (
 // distribution fit is considered valid.
 const minPoints = 8
 
-// refitInterval controls how stale a cached fit may get: a category refits
-// after this many new observations (or on first use).
+// refitInterval controls how stale a fit may get: a category is first fitted
+// at its minPoints-th observation and refitted after every refitInterval
+// observations from then on.
 const refitInterval = 32
 
-// category models one queue's run-time distribution.
+// category models one queue's run-time distribution. The fit is made in add,
+// never in predict, so it depends only on the observations and not on how
+// often the category was asked.
 type category struct {
 	runTimes []float64
-	sinceFit int
-	fitted   bool
 	beta0    float64
 	beta1    float64
 	tmax     float64
@@ -57,22 +58,15 @@ type category struct {
 
 func (c *category) add(rt float64) {
 	c.runTimes = append(c.runTimes, rt)
-	c.sinceFit++
+	if n := len(c.runTimes); n >= minPoints && (n-minPoints)%refitInterval == 0 {
+		c.fit()
+	}
 }
 
-// fit regresses the empirical CDF against ln t. The fit is cached and
-// refreshed every refitInterval observations.
+// fit regresses the empirical CDF against ln t.
 func (c *category) fit() {
-	if c.fitted && c.sinceFit < refitInterval {
-		return
-	}
-	c.fitted = true
-	c.sinceFit = 0
 	c.valid = false
 	n := len(c.runTimes)
-	if n < minPoints {
-		return
-	}
 	sorted := append([]float64(nil), c.runTimes...)
 	sort.Float64s(sorted)
 	xs := make([]float64, 0, n)
@@ -101,7 +95,6 @@ func (c *category) fit() {
 
 // predict evaluates the conditional estimator at age a.
 func (c *category) predict(mode Mode, age int64) (float64, bool) {
-	c.fit()
 	if !c.valid {
 		return 0, false
 	}

@@ -145,6 +145,30 @@ func TestRefitPicksUpNewData(t *testing.T) {
 	}
 }
 
+// TestPredictIsPure feeds two predictors the same observations, asking one
+// after every observation and the other never: afterwards they must predict
+// alike, because a prediction may depend only on what was observed.
+func TestPredictIsPure(t *testing.T) {
+	for _, mode := range []Mode{ConditionalMedian, ConditionalAverage} {
+		asked, quiet := New(mode), New(mode)
+		rng := rand.New(rand.NewSource(37))
+		for i := 0; i < 3*refitInterval; i++ {
+			j := qj("q", 1+rng.Int63n(20000))
+			asked.Observe(j)
+			quiet.Observe(j)
+			asked.Predict(qj("q", 0), 0)
+		}
+		for _, age := range []int64{0, 60, 3600} {
+			a, aok := asked.Predict(qj("q", 0), age)
+			q, qok := quiet.Predict(qj("q", 0), age)
+			if a != q || aok != qok || !aok {
+				t.Fatalf("mode %v, age %d: asked after every observation %d, %v; never asked %d, %v",
+					mode, age, a, aok, q, qok)
+			}
+		}
+	}
+}
+
 func TestNames(t *testing.T) {
 	if New(ConditionalMedian).Name() != "downey-med" ||
 		New(ConditionalAverage).Name() != "downey-avg" {

@@ -21,7 +21,10 @@ import (
 // templates, the core predictor's running-time attribute) use it to sharpen
 // the estimate; others may ignore it. The boolean reports whether the
 // predictor can make a valid prediction for this job; callers fall back
-// (see Estimate) when it cannot.
+// (see Estimate) when it cannot. Predict must not change what later calls
+// return: a prediction depends only on the jobs observed so far, never on
+// how often or in what order Predict was called. The simulators rely on
+// this to skip scheduling passes that cannot start a job.
 //
 // Observe incorporates a completed job into the predictor's history. The
 // scheduling simulator calls Observe exactly once per job, at the job's

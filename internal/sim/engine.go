@@ -132,7 +132,9 @@ type Result struct {
 	MaxWaitSec int64
 	// MakespanSec spans first submission to last completion.
 	MakespanSec int64
-	// Predictions counts estimator invocations (predictor load).
+	// Predictions counts the estimator calls the policy actually made
+	// (predictor load). Passes in which no queued job fits are skipped
+	// without asking the policy, so they add none.
 	Predictions int64
 	// Cancelled counts jobs withdrawn from the queue before starting;
 	// they are excluded from the wait and utilization metrics.
@@ -150,28 +152,6 @@ type Result struct {
 // MeanWaitMinutes returns the mean wait time in minutes, the unit of the
 // paper's tables.
 func (r *Result) MeanWaitMinutes() float64 { return r.MeanWaitSec / 60 }
-
-// finishHeap orders running jobs by completion time, breaking ties by job ID
-// for determinism.
-type finishHeap []*workload.Job
-
-func (h finishHeap) Len() int { return len(h) }
-func (h finishHeap) Less(i, j int) bool {
-	if h[i].EndTime != h[j].EndTime {
-		return h[i].EndTime < h[j].EndTime
-	}
-	return h[i].ID < h[j].ID
-}
-func (h finishHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *finishHeap) Push(x interface{}) { *h = append(*h, x.(*workload.Job)) }
-func (h *finishHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
-}
 
 // cancelEntry schedules a queued job's cancellation deadline.
 type cancelEntry struct {
@@ -231,10 +211,8 @@ func Run(w *workload.Workload, pol Policy, pred predict.Predictor, opts Options)
 	}
 
 	var (
-		queue   []*workload.Job
-		running finishHeap
+		m       = Machine{Nodes: wc.MachineNodes, Free: wc.MachineNodes}
 		cancels cancelHeap
-		free    = wc.MachineNodes
 		nextJob = 0
 		now     int64
 	)
@@ -242,25 +220,23 @@ func Run(w *workload.Workload, pol Policy, pred predict.Predictor, opts Options)
 		return res, nil
 	}
 	now = jobs[0].SubmitTime
-
-	queued := make(map[*workload.Job]bool)
-	removeFromQueue := func(j *workload.Job) {
-		for i, q := range queue {
-			if q == j {
-				queue = append(queue[:i], queue[i+1:]...)
-				delete(queued, j)
-				return
-			}
+	started := func(j *workload.Job) bool {
+		if opts.OnStart != nil {
+			opts.OnStart(now, j)
 		}
+		if met != nil {
+			met.starts.Inc()
+		}
+		return false
 	}
 
-	for nextJob < len(jobs) || len(running) > 0 || len(queue) > 0 {
+	for nextJob < len(jobs) || len(m.Running) > 0 || len(m.Queue) > 0 {
 		// Advance the clock to the next event: completion, arrival, or
 		// cancellation deadline.
 		next := int64(1<<62 - 1)
 		haveEvent := false
-		if len(running) > 0 {
-			next, haveEvent = running[0].EndTime, true
+		if len(m.Running) > 0 {
+			next, haveEvent = m.Running[0].EndTime, true
 		}
 		if nextJob < len(jobs) && jobs[nextJob].SubmitTime < next {
 			next, haveEvent = jobs[nextJob].SubmitTime, true
@@ -276,7 +252,7 @@ func Run(w *workload.Workload, pol Policy, pred predict.Predictor, opts Options)
 			// (it refuses to start a job that could run on the idle
 			// machine).
 			return nil, fmt.Errorf("sim: policy %s wedged with %d queued jobs on an idle machine",
-				pol.Name(), len(queue))
+				pol.Name(), len(m.Queue))
 		}
 		now = next
 		if met != nil {
@@ -286,9 +262,7 @@ func Run(w *workload.Workload, pol Policy, pred predict.Predictor, opts Options)
 
 		// 1. Completions at this instant (before arrivals, so freed nodes
 		// are visible to the scheduling pass).
-		for len(running) > 0 && running[0].EndTime == now {
-			j := heap.Pop(&running).(*workload.Job)
-			free += j.Nodes
+		for j := m.Finish(now); j != nil; j = m.Finish(now) {
 			if opts.OnFinish != nil {
 				opts.OnFinish(now, j)
 			}
@@ -307,10 +281,9 @@ func Run(w *workload.Workload, pol Policy, pred predict.Predictor, opts Options)
 		// before scheduling: a job whose patience ran out does not start).
 		for len(cancels) > 0 && cancels[0].deadline == now {
 			e := heap.Pop(&cancels).(cancelEntry)
-			if !queued[e.job] {
+			if !m.withdraw(e.job) {
 				continue // already started; stale entry
 			}
-			removeFromQueue(e.job)
 			e.job.Cancelled = true
 			res.Cancelled++
 			if opts.OnCancel != nil {
@@ -330,7 +303,7 @@ func Run(w *workload.Workload, pol Policy, pred predict.Predictor, opts Options)
 			if met != nil {
 				met.arrivals.Inc()
 			}
-			if opts.Admission != nil && !opts.Admission(now, j, queue, running, free, wc.MachineNodes) {
+			if opts.Admission != nil && !opts.Admission(now, j, m.Queue, m.Running, m.Free, m.Nodes) {
 				j.Shed = true
 				res.Shed++
 				if opts.OnShed != nil {
@@ -341,42 +314,18 @@ func Run(w *workload.Workload, pol Policy, pred predict.Predictor, opts Options)
 				}
 				continue
 			}
-			queue = append(queue, j)
-			queued[j] = true
+			m.Queue = append(m.Queue, j)
 			if j.CancelAfter > 0 {
 				heap.Push(&cancels, cancelEntry{deadline: j.SubmitTime + j.CancelAfter, job: j})
 			}
 			if opts.OnSubmit != nil {
-				opts.OnSubmit(now, j, queue, running)
+				opts.OnSubmit(now, j, m.Queue, m.Running)
 			}
 		}
 
 		// 4. Scheduling passes until quiescent.
-		for len(queue) > 0 {
-			picked := pol.Pick(now, queue, running, free, wc.MachineNodes, est)
-			if len(picked) == 0 {
-				break
-			}
-			var need int
-			for _, j := range picked {
-				need += j.Nodes
-			}
-			if need > free {
-				return nil, fmt.Errorf("sim: policy %s picked %d nodes with %d free", pol.Name(), need, free)
-			}
-			for _, j := range picked {
-				free -= j.Nodes
-				j.StartTime = now
-				j.EndTime = now + j.RunTime
-				removeFromQueue(j)
-				heap.Push(&running, j)
-				if opts.OnStart != nil {
-					opts.OnStart(now, j)
-				}
-				if met != nil {
-					met.starts.Inc()
-				}
-			}
+		if _, err := m.Schedule(now, pol, est, nil, started); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
 

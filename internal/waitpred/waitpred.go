@@ -13,7 +13,6 @@
 package waitpred
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -47,27 +46,6 @@ func PredictStartCtx(ctx context.Context, now int64, target *workload.Job,
 	return start, err
 }
 
-// endHeap orders virtual running jobs by assumed end time (ties by ID).
-type endHeap []*workload.Job
-
-func (h endHeap) Len() int { return len(h) }
-func (h endHeap) Less(i, j int) bool {
-	if h[i].EndTime != h[j].EndTime {
-		return h[i].EndTime < h[j].EndTime
-	}
-	return h[i].ID < h[j].ID
-}
-func (h endHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x interface{}) { *h = append(*h, x.(*workload.Job)) }
-func (h *endHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
-}
-
 // predictStart simulates the scheduler forward from the given state and
 // returns the predicted start time of target. target must be an element of
 // queue; totalNodes is the machine size. The inputs are not modified.
@@ -94,18 +72,19 @@ func predictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 		decision = pred
 	}
 
-	// Clone the state into one backing array, queued jobs first. The
-	// assumed total run time of the queued clone vq[i] is assumed[i]; the
-	// two slices shrink together as jobs leave the virtual queue.
+	// Clone the state into one backing array, queued jobs first.
 	clones := make([]workload.Job, len(queue)+len(running))
-	vq := make([]*workload.Job, len(queue))
-	assumed := make([]int64, len(queue))
+	m := sim.Machine{
+		Nodes:   totalNodes,
+		Free:    totalNodes,
+		Queue:   make([]*workload.Job, len(queue)),
+		Running: make([]*workload.Job, 0, len(running)+len(queue)),
+	}
 	var vtarget *workload.Job
 	for i, j := range queue {
 		c := &clones[i]
 		*c = *j.Clone()
-		assumed[i] = predict.Estimate(pred, j, 0, defaultRT)
-		vq[i] = c
+		m.Queue[i] = c
 		if j == target {
 			vtarget = c
 		}
@@ -113,8 +92,6 @@ func predictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 	if vtarget == nil {
 		return 0, fmt.Errorf("waitpred: target job %d not in queue", target.ID)
 	}
-	vr := make(endHeap, 0, len(running)+len(queue))
-	free := totalNodes
 	for i, r := range running {
 		c := &clones[len(queue)+i]
 		*c = *r.Clone()
@@ -125,80 +102,45 @@ func predictStart(now int64, target *workload.Job, queue, running []*workload.Jo
 		if c.EndTime <= now {
 			c.EndTime = now + 1
 		}
-		heap.Push(&vr, c)
-		free -= c.Nodes
+		m.Start(c)
 	}
-	if free < 0 {
+	if m.Free < 0 {
 		return 0, fmt.Errorf("waitpred: running jobs exceed machine size")
 	}
 
 	// The simulated scheduler sees the decision predictor's estimates, just
-	// as the real scheduler does.
+	// as the real scheduler does. A queued job runs for pred's estimate at
+	// submission, asked when it starts: Predict has no side effects, so that
+	// is what asking up front would give.
 	est := func(j *workload.Job, age int64) int64 {
 		return predict.Estimate(decision, j, age, defaultRT)
 	}
-
-	// take removes j from the virtual queue and returns its assumed run
-	// time.
-	take := func(j *workload.Job) int64 {
-		for i, q := range vq {
-			if q == j {
-				d := assumed[i]
-				vq = append(vq[:i], vq[i+1:]...)
-				assumed = append(assumed[:i], assumed[i+1:]...)
-				return d
-			}
-		}
-		return 0
+	assumed := func(j *workload.Job) int64 {
+		return predict.Estimate(pred, j, 0, defaultRT)
 	}
+	isTarget := func(j *workload.Job) bool { return j == vtarget }
 
 	t := now
 	for steps := 0; ; steps++ {
 		if steps > 4*(len(queue)+len(running))+16 {
 			return 0, fmt.Errorf("waitpred: virtual simulation did not converge")
 		}
-		// Scheduling passes at time t. A pass in which no queued job fits
-		// in the free nodes cannot start anything under any policy (an
-		// overpick is an error below), so it is skipped.
-		for anyFits(vq, free) {
-			picked := pol.Pick(t, vq, vr, free, totalNodes, est)
-			if len(picked) == 0 {
-				break
-			}
-			for _, j := range picked {
-				if j == vtarget {
-					return t, nil
-				}
-				if j.Nodes > free {
-					return 0, fmt.Errorf("waitpred: policy overpicked in virtual simulation")
-				}
-				free -= j.Nodes
-				j.StartTime = t
-				j.EndTime = t + take(j)
-				heap.Push(&vr, j)
-			}
+		stopped, err := m.Schedule(t, pol, est, assumed, isTarget)
+		if err != nil {
+			return 0, fmt.Errorf("waitpred: virtual simulation: %w", err)
 		}
-		if len(vr) == 0 {
+		if stopped {
+			return t, nil
+		}
+		if len(m.Running) == 0 {
 			return 0, fmt.Errorf("waitpred: policy %s wedged in virtual simulation with %d queued",
-				pol.Name(), len(vq))
+				pol.Name(), len(m.Queue))
 		}
 		// Advance to the next assumed completion.
-		t = vr[0].EndTime
-		for len(vr) > 0 && vr[0].EndTime == t {
-			j := heap.Pop(&vr).(*workload.Job)
-			free += j.Nodes
+		t = m.Running[0].EndTime
+		for m.Finish(t) != nil {
 		}
 	}
-}
-
-// anyFits reports whether some queued job needs no more than free nodes.
-func anyFits(queue []*workload.Job, free int) bool {
-	for _, j := range queue {
-		if j.Nodes <= free {
-			return true
-		}
-	}
-	return false
 }
 
 // PredictWait is PredictStartCtx expressed as a wait: predicted start minus the

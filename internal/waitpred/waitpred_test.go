@@ -1,7 +1,6 @@
 package waitpred
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -264,7 +263,8 @@ func TestLWFOracleHasBuiltInError(t *testing.T) {
 
 // referenceStart is predictStart's forward simulation without the skip of
 // passes in which no queued job fits: it asks the policy at every pass. It
-// is the oracle TestSkippedPassesAreExact holds predictStart to.
+// keeps its running jobs in a sim.Machine but never calls Schedule. It is
+// the oracle TestSkippedPassesAreExact holds predictStart to.
 func referenceStart(now int64, target *workload.Job, queue, running []*workload.Job,
 	totalNodes int, pol sim.Policy, pred, decision predict.Predictor) (int64, error) {
 
@@ -282,8 +282,7 @@ func referenceStart(now int64, target *workload.Job, queue, running []*workload.
 			vtarget = c
 		}
 	}
-	var vr endHeap
-	free := totalNodes
+	m := sim.Machine{Nodes: totalNodes, Free: totalNodes}
 	for _, r := range running {
 		c := r.Clone()
 		c.StartTime = r.StartTime
@@ -291,10 +290,9 @@ func referenceStart(now int64, target *workload.Job, queue, running []*workload.
 		if c.EndTime <= now {
 			c.EndTime = now + 1
 		}
-		heap.Push(&vr, c)
-		free -= c.Nodes
+		m.Start(c)
 	}
-	if vtarget == nil || free < 0 {
+	if vtarget == nil || m.Free < 0 {
 		return 0, fmt.Errorf("bad snapshot")
 	}
 	est := func(j *workload.Job, age int64) int64 {
@@ -302,7 +300,7 @@ func referenceStart(now int64, target *workload.Job, queue, running []*workload.
 	}
 	for t := now; ; {
 		for len(vq) > 0 {
-			picked := pol.Pick(t, vq, vr, free, totalNodes, est)
+			picked := pol.Pick(t, vq, m.Running, m.Free, totalNodes, est)
 			if len(picked) == 0 {
 				break
 			}
@@ -310,21 +308,19 @@ func referenceStart(now int64, target *workload.Job, queue, running []*workload.
 				if j == vtarget {
 					return t, nil
 				}
-				if j.Nodes > free {
+				if j.Nodes > m.Free {
 					return 0, fmt.Errorf("overpick")
 				}
-				free -= j.Nodes
 				j.StartTime, j.EndTime = t, t+assumed[j]
 				vq = slices.DeleteFunc(vq, func(q *workload.Job) bool { return q == j })
-				heap.Push(&vr, j)
+				m.Start(j)
 			}
 		}
-		if len(vr) == 0 {
+		if len(m.Running) == 0 {
 			return 0, fmt.Errorf("wedged")
 		}
-		t = vr[0].EndTime
-		for len(vr) > 0 && vr[0].EndTime == t {
-			free += heap.Pop(&vr).(*workload.Job).Nodes
+		t = m.Running[0].EndTime
+		for m.Finish(t) != nil {
 		}
 	}
 }
