@@ -39,7 +39,7 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Regenerate every table of the paper at 1/10 trace scale.
+# Regenerate every table and experiment at 1/10 trace scale.
 tables:
 	$(GO) run ./cmd/tables -scale 10
 
@@ -59,7 +59,8 @@ fmt-check:
 	fi
 
 # One iteration of every benchmark so benchmark code cannot bit-rot; drop
-# -benchtime for a full statistical run.
+# -benchtime for a full statistical run. The benchmarks are the hot-path
+# micro-benchmarks only: the experiments are cmd/tables ids (make tables).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
 

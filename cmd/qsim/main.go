@@ -9,8 +9,6 @@
 //	qsim -in trace.swf -policy LWF -predictor maxrt [-usage usage.csv]
 //	qsim -workload ANL -predictor smith -accuracy        # per-run error summary
 //	qsim -workload ANL -accuracy -shadow                 # + live stable scoreboard
-//	qsim -regret [-regret-json out.json]                 # price-of-misprediction sweep
-//	qsim -reselect [-tail-cost 2] [-fill 0.95]           # drift → re-selection sweep
 //
 // With -accuracy, every completion is scored (the prediction made just
 // before the predictor observes it, against the actual run time) and the
@@ -21,29 +19,18 @@
 // also scores the whole predictor stable against every completion and
 // prints the resulting scoreboard.
 //
-// With -regret, the four study workloads are swept through the predictive
-// SLO admission experiment (SJF + admission control under injected
-// prediction error versus FCFS/always-admit); -err-scales, -biases and
-// -headrooms override the sweep grid, and -regret-json writes the full
-// machine-readable report.
-//
-// With -reselect, each study workload (or just -workload) gets a run-time
-// step change injected halfway through (-fill sets the post-step run time
-// as a fraction of the user limit) and is scheduled twice — template
-// predictor pinned versus drift-adaptive re-selection over the stable —
-// reporting switches, post-step tail scores, and the Welch-t significance
-// of the per-completion asymmetric cost difference.
+// The sweeps over many runs (the price-of-misprediction regret sweep and
+// the drift re-selection sweep) are tables: go run ./cmd/tables regret
+// reselect.
 package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/exp"
 	"repro/internal/obs/accuracy"
@@ -76,23 +63,8 @@ func run(args []string, stdout io.Writer) error {
 	accOn := fs.Bool("accuracy", false, "score every completion and print the prediction-error summary")
 	shadowOn := fs.Bool("shadow", false, "with -accuracy, shadow-score the whole predictor stable and print the scoreboard")
 	tailCost := fs.Float64("tail-cost", stats.DefaultCostRatio, "asymmetric cost of under-prediction relative to over-prediction")
-	reselectOn := fs.Bool("reselect", false, "run the drift-injection re-selection sweep over the study workloads")
-	fill := fs.Float64("fill", 0.95, "with -reselect, post-step run time as a fraction of the user limit")
-	stepFrac := fs.Float64("step-frac", 0.5, "with -reselect, step position as a fraction of the trace")
-	regretOn := fs.Bool("regret", false, "run the predictive-admission regret sweep over the study workloads")
-	regretJSON := fs.String("regret-json", "", "with -regret, write the machine-readable report to this file")
-	errScales := fs.String("err-scales", "", "with -regret, comma-separated error scales (default 0,0.5,1,2)")
-	biases := fs.String("biases", "", "with -regret, comma-separated error sign biases (default -1,0,1)")
-	headrooms := fs.String("headrooms", "", "with -regret, comma-separated budget headrooms (default 1,2)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *regretOn {
-		return runRegret(stdout, *scale, *seed, *errScales, *biases, *headrooms, *regretJSON)
-	}
-	if *reselectOn {
-		return runReselect(stdout, *name, *scale, *seed, *tailCost, *fill, *stepFrac)
 	}
 
 	w, err := loadWorkload(*name, *in, *nodes, *scale, *seed)
@@ -173,64 +145,6 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runRegret executes the predictive-admission regret sweep and prints the
-// cell table plus the headline mean-regret-by-scale series per headroom.
-func runRegret(stdout io.Writer, scale int, seed int64, errScales, biases, headrooms, jsonOut string) error {
-	cfg := exp.DefaultRegretConfig()
-	cfg.Scale, cfg.Seed = scale, seed
-	var err error
-	if cfg.ErrScales, err = overrideFloats(cfg.ErrScales, errScales); err != nil {
-		return fmt.Errorf("-err-scales: %w", err)
-	}
-	if cfg.Biases, err = overrideFloats(cfg.Biases, biases); err != nil {
-		return fmt.Errorf("-biases: %w", err)
-	}
-	if cfg.Headrooms, err = overrideFloats(cfg.Headrooms, headrooms); err != nil {
-		return fmt.Errorf("-headrooms: %w", err)
-	}
-	report, err := exp.RegretExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, exp.TableRegret(report).String())
-	for _, h := range cfg.Headrooms {
-		mean := report.MeanRegretByScale(h)
-		fmt.Fprintf(stdout, "mean regret (headroom %g):", h)
-		for _, s := range cfg.ErrScales {
-			fmt.Fprintf(stdout, "  err %g -> %.4f", s, mean[s])
-		}
-		fmt.Fprintln(stdout)
-	}
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "report written to %s\n", jsonOut)
-	}
-	return nil
-}
-
-// overrideFloats parses a comma-separated flag value, keeping the default
-// when the flag was not set.
-func overrideFloats(def []float64, s string) ([]float64, error) {
-	if s == "" {
-		return def, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // printAccuracy reports the per-key prediction-error summary accumulated
 // during the run (one key per workload name; minutes for readability, as
 // in the paper's tables), including the signed tail quantiles and the
@@ -260,43 +174,6 @@ func printScoreboard(stdout io.Writer, shadow *accuracy.Shadow) {
 		fmt.Fprintf(stdout, "  #%d %-16s %10.2f  (%s, %d scored, mean err %.2f min)\n",
 			i+1, e.Name, e.Score/60, state, e.Snapshot.Count, e.Snapshot.MeanError/60)
 	}
-}
-
-// runReselect executes the drift-injection re-selection comparison and
-// prints one block per workload: what switched, when, and whether the
-// adaptive arm's post-step asymmetric cost beats the pinned baseline.
-func runReselect(stdout io.Writer, name string, scale int, seed int64, tailCost, fill, stepFrac float64) error {
-	dc := exp.DefaultDriftConfig()
-	dc.CostRatio, dc.Fill, dc.StepFrac = tailCost, fill, stepFrac
-	var names []string
-	if name != "" {
-		names = []string{name}
-	}
-	cfg := exp.DefaultConfig
-	cfg.Scale, cfg.Seed = scale, seed
-	results, err := exp.ReselectSweep(names, dc, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "drift-injection re-selection sweep (policy Backfill, fill %.2f, step at %.0f%%, cost ratio %g)\n",
-		dc.Fill, 100*dc.StepFrac, dc.CostRatio)
-	for _, r := range results {
-		fmt.Fprintf(stdout, "%s: step at job %d, %d post-step completions\n",
-			r.Workload, r.StepAt, r.Baseline.N)
-		fmt.Fprintf(stdout, "  baseline %-12s post-step tail %8.1f min, mean asym cost %8.1f min\n",
-			r.Baseline.Predictor, r.Baseline.PostTail/60, r.Baseline.PostMeanCost/60)
-		fmt.Fprintf(stdout, "  adaptive %-12s post-step tail %8.1f min, mean asym cost %8.1f min\n",
-			r.Adaptive.Predictor, r.Adaptive.PostTail/60, r.Adaptive.PostMeanCost/60)
-		for _, ev := range r.Adaptive.Events {
-			fmt.Fprintf(stdout, "  switch #%d at completion %d: %s -> %s (score %.1f -> %.1f min, drift p=%.2g)\n",
-				ev.Seq, ev.Completions, ev.From, ev.To, ev.FromScore/60, ev.ToScore/60, ev.Drift.P)
-		}
-		if r.Adaptive.Switches == 0 {
-			fmt.Fprintln(stdout, "  no switch")
-		}
-		fmt.Fprintf(stdout, "  welch t=%.2f p=%.3g on per-completion asymmetric cost\n", r.T, r.P)
-	}
-	return nil
 }
 
 func loadWorkload(name, in string, nodes, scale int, seed int64) (*workload.Workload, error) {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,45 +79,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunRegretSweep(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "regret.json")
-	var sb strings.Builder
-	err := run([]string{"-regret", "-scale", "100",
-		"-err-scales", "0,1", "-biases", "0", "-headrooms", "1",
-		"-regret-json", out}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	for _, want := range []string{"fcfs-always", "sjf-admit", "mean regret (headroom 1)", "err 1 ->"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("missing %q in:\n%s", want, got)
-		}
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report map[string]any
-	if err := json.Unmarshal(b, &report); err != nil {
-		t.Fatalf("report not JSON: %v", err)
-	}
-	if cells, ok := report["cells"].([]any); !ok || len(cells) == 0 {
-		t.Fatalf("report has no cells: %v", report["cells"])
-	}
-}
-
-func TestRunRegretFlagErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-regret", "-err-scales", "zero"}, &sb); err == nil {
-		t.Error("bad -err-scales should error")
-	}
-	if err := run([]string{"-regret", "-scale", "100", "-headrooms", ""}, &sb); err != nil {
-		t.Errorf("empty override should keep defaults, got %v", err)
-	}
-}
-
 func TestRunAccuracySummary(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-workload", "SDSC95", "-scale", "100", "-predictor", "smith",
@@ -159,24 +119,5 @@ func TestRunAccuracyShadowScoreboard(t *testing.T) {
 	}
 	if strings.Count(out, "#") < 6 {
 		t.Fatalf("scoreboard should rank all six stable members:\n%s", out)
-	}
-}
-
-// TestRunReselectSweep drives the full drift-injection pipeline on one
-// small workload: the injected step must fire drift, switch the serving
-// predictor away from the template predictor, and report the Welch-t
-// comparison against the pinned baseline.
-func TestRunReselectSweep(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-reselect", "-workload", "CTC", "-scale", "40"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"drift-injection re-selection sweep",
-		"baseline smith", "adaptive", "switch #1", "welch t="} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
 	}
 }

@@ -77,6 +77,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -84,6 +85,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -235,6 +237,25 @@ func defaultAdmitClass(classes map[string]admission.ClassConfig) string {
 	return names[0]
 }
 
+// storeErrLogger is the history store's insert-failure handler: it logs the
+// first refused new category (the store is at its category cap) and the
+// first failure of any other kind, so a flood of novel categories or a
+// broken WAL cannot flood the log. Every refusal is still counted, under
+// histstore.categories.refused (WAL failures under histstore.wal.errors),
+// and /v1/observe keeps answering 200.
+func storeErrLogger(w io.Writer) func(error) {
+	var refused, failed atomic.Bool
+	return func(err error) {
+		first := &failed
+		if errors.Is(err, histstore.ErrCategoryLimit) {
+			first = &refused
+		}
+		if first.CompareAndSwap(false, true) {
+			fmt.Fprintln(w, "qwaitd: history store insert failed (further failures of this kind are counted, not logged):", err)
+		}
+	}
+}
+
 // build constructs the configured daemon without starting to listen.
 func build(args []string, stdout io.Writer) (_ *app, err error) {
 	fs := flag.NewFlagSet("qwaitd", flag.ContinueOnError)
@@ -295,10 +316,7 @@ func build(args []string, stdout io.Writer) (_ *app, err error) {
 				_ = st.Close() //lint:allow errdrop the build error is the one to report; the store was never handed out
 			}
 		}()
-		opts = append(opts, core.WithStore(st),
-			core.WithStoreErrorHandler(func(err error) {
-				fmt.Fprintln(os.Stderr, "qwaitd: history store insert failed:", err)
-			}))
+		opts = append(opts, core.WithStore(st), core.WithStoreErrorHandler(storeErrLogger(os.Stderr)))
 	}
 	pred := core.New(ts, opts...)
 	if st != nil && st.Categories() > 0 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -485,5 +487,20 @@ func TestBuildAdmissionErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("disabled admission: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestStoreErrLoggerLogsFirstOfEachKind: a flood of refused categories or
+// of WAL failures logs one line each, not one line per failed insert.
+func TestStoreErrLoggerLogsFirstOfEachKind(t *testing.T) {
+	var log strings.Builder
+	h := storeErrLogger(&log)
+	for i := 0; i < 5; i++ {
+		h(fmt.Errorf("%w (4 categories)", histstore.ErrCategoryLimit))
+		h(errors.New("histstore: wal append: disk full"))
+	}
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "category limit") || !strings.Contains(lines[1], "disk full") {
+		t.Fatalf("logged %d lines, want the first refusal and the first WAL failure:\n%s", len(lines), log.String())
 	}
 }

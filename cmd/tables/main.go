@@ -1,6 +1,8 @@
-// Command tables regenerates every table of the paper (Tables 1 and 4–15),
-// the §4 interarrival-compression experiment, and the repository's
-// ablations, printing them in the paper's layout.
+// Command tables is the repository's one experiment driver. It regenerates
+// every table of the paper (Tables 1 and 4–15), the §4
+// interarrival-compression experiment, and the repository's ablations,
+// future-work, validation and sweep experiments, printing them in the
+// paper's layout (or as JSON with -json).
 //
 // Usage:
 //

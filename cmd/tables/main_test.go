@@ -95,3 +95,41 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatalf("JSON = %+v", obj)
 	}
 }
+
+// TestRegretSweep runs the price-of-misprediction regret sweep, ending in
+// its mean-regret-by-scale series.
+func TestRegretSweep(t *testing.T) {
+	var out, errOut strings.Builder
+	if err := run([]string{"-scale", "100", "regret"}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{"Regret. Price of misprediction", "fcfs-always", "sjf-admit"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("missing %q in:\n%s", want, s)
+		}
+	}
+	// 2 headrooms x 4 error scales of mean regret.
+	if n := strings.Count(s, "\nall "); n != 8 {
+		t.Errorf("%d mean-regret rows, want 8:\n%s", n, s)
+	}
+}
+
+// TestReselectSweep runs the drift re-selection sweep, one row per arm of
+// each study workload.
+func TestReselectSweep(t *testing.T) {
+	var out, errOut strings.Builder
+	if err := run([]string{"-scale", "100", "reselect"}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{"Re-selection. Drift-injection", "baseline", "adaptive", "Welch t"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("missing %q in:\n%s", want, s)
+		}
+	}
+	// 4 workloads x 2 arms.
+	if n := strings.Count(s, " adaptive "); n != 4 {
+		t.Errorf("%d adaptive rows, want 4:\n%s", n, s)
+	}
+}

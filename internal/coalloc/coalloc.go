@@ -14,7 +14,10 @@ package coalloc
 import (
 	"fmt"
 
+	"repro/internal/predict"
 	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Resource is one parallel computer accepting advance reservations.
@@ -103,4 +106,85 @@ func Release(grants []Grant) {
 	for _, g := range grants {
 		g.Resource.Book.Remove(g.ID)
 	}
+}
+
+// Machine is one machine's outcome of Reserve.
+type Machine struct {
+	Resource *Resource
+	Reserved int // nodes the co-allocation holds
+	// Utilization is the batch workload's, scheduled around the book.
+	Utilization float64
+	// PeakInWindow is the most batch nodes busy at once inside the
+	// reserved window; at most Total−Reserved when the book is honoured.
+	PeakInWindow int
+	// PlainWaitMin and BookedWaitMin are the batch workload's mean wait
+	// (minutes) without and with the reservation: their difference is the
+	// reservation's cost to the queue.
+	PlainWaitMin, BookedWaitMin float64
+}
+
+// Result is the outcome of Reserve.
+type Result struct {
+	Start, End int64
+	Grants     []Grant
+	Machines   []Machine
+}
+
+// Reserve co-allocates nodes[i] nodes of machine i (sized and loaded by
+// ws[i]) for dur seconds at the earliest common start at or after from,
+// then runs each machine's batch workload under conservative backfill
+// with maximum run times, once without and once with its reservation book.
+func Reserve(ws []*workload.Workload, nodes []int, from, dur int64) (*Result, error) {
+	if len(ws) != len(nodes) {
+		return nil, fmt.Errorf("coalloc: %d workloads for %d components", len(ws), len(nodes))
+	}
+	comps := make([]Component, len(ws))
+	for i, w := range ws {
+		comps[i] = Component{
+			Resource: &Resource{Name: w.Name, Total: w.MachineNodes, Book: &sched.ReservationBook{}},
+			Nodes:    nodes[i],
+		}
+	}
+	start, grants, err := Negotiate(comps, from, dur)
+	if err != nil {
+		return nil, err
+	}
+	r := &Result{Start: start, End: start + dur, Grants: grants}
+	for i, w := range ws {
+		c := comps[i]
+		plain, err := sim.Run(w, sched.Backfill{}, predict.MaxRuntime{}, sim.Options{})
+		if err != nil {
+			return nil, err
+		}
+		booked, err := sim.Run(w, sched.Backfill{}.WithBook(c.Resource.Book), predict.MaxRuntime{}, sim.Options{})
+		if err != nil {
+			return nil, err
+		}
+		r.Machines = append(r.Machines, Machine{
+			Resource:      c.Resource,
+			Reserved:      c.Nodes,
+			Utilization:   booked.Utilization,
+			PeakInWindow:  peakIn(sim.NodeUsage(booked.Jobs), r.Start, r.End),
+			PlainWaitMin:  plain.MeanWaitMinutes(),
+			BookedWaitMin: booked.MeanWaitMinutes(),
+		})
+	}
+	return r, nil
+}
+
+// peakIn is the highest usage step that overlaps [from, to).
+func peakIn(usage []sim.UsagePoint, from, to int64) int {
+	peak := 0
+	for i, p := range usage {
+		if p.Time >= to {
+			break
+		}
+		if i+1 < len(usage) && usage[i+1].Time <= from {
+			continue
+		}
+		if p.Nodes > peak {
+			peak = p.Nodes
+		}
+	}
+	return peak
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 func res(name string, total int) *Resource {
@@ -130,5 +131,38 @@ func TestNegotiateBookingsVisibleToBackfill(t *testing.T) {
 	}
 	if got != 200 {
 		t.Fatalf("slot through the booked window = %d, want 200", got)
+	}
+}
+
+// TestReserveOnLoadedMachines co-allocates on §4's 2x-compressed SDSC
+// traces, loaded enough that batch jobs queue: backfill must keep every
+// batch job off the reserved nodes of both windows, and walling the nodes
+// off must cost the queues some wait.
+func TestReserveOnLoadedMachines(t *testing.T) {
+	var ws []*workload.Workload
+	for i, name := range []string{"SDSC95", "SDSC96"} {
+		base, err := workload.Study(name, 10, 42+int64(2+i)*1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, workload.Compress(base, 2))
+	}
+	r, err := Reserve(ws, []int{200, 150}, 6*3600, 3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.End-r.Start != 3600 || len(r.Grants) != 2 || len(r.Machines) != 2 {
+		t.Fatalf("result %+v", r)
+	}
+	var cost float64
+	for _, m := range r.Machines {
+		if allowed := m.Resource.Total - m.Reserved; m.PeakInWindow > allowed {
+			t.Errorf("%s: %d batch nodes busy inside [%d, %d), only %d unreserved",
+				m.Resource.Name, m.PeakInWindow, r.Start, r.End, allowed)
+		}
+		cost += m.BookedWaitMin - m.PlainWaitMin
+	}
+	if !(cost > 0) {
+		t.Errorf("reservations cost the batch queues %.2f min of mean wait, want > 0", cost)
 	}
 }

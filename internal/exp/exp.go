@@ -1,8 +1,9 @@
 // Package exp drives the paper's experiments: the wait-time prediction
 // study of Tables 4–9 and the scheduling study of Tables 10–15, plus the
-// §4 interarrival-compression experiment and the ablations called out in
-// DESIGN.md. Each table of the paper has a driver here and a benchmark in
-// the repository root that regenerates it.
+// §4 interarrival-compression experiment, the ablations called out in
+// DESIGN.md, and the future-work, validation and sweep experiments. Every
+// experiment is a TableFunc registered under a table id in AllTables, which
+// cmd/tables runs.
 package exp
 
 import (

@@ -219,7 +219,10 @@ func TestAllTablesRegistryComplete(t *testing.T) {
 	}
 	for _, want := range []string{"table1", "table4", "table5", "table6", "table7",
 		"table8", "table9", "table10", "table11", "table12", "table13",
-		"table14", "table15", "section4", "ablation-backfill"} {
+		"table14", "table15", "section4", "ablation-backfill", "ablation-cancellations",
+		"ablation-search", "ablation-predictor", "futurework-statewait",
+		"futurework-reservations", "runtime-errors", "walkforward", "replication",
+		"metascheduling", "regret", "reselect"} {
 		if !ids[want] {
 			t.Errorf("registry missing %s", want)
 		}

@@ -33,36 +33,18 @@ import (
 // overrun ratio capped at maxOverrunCost — the asymmetric accounting TARE
 // (arXiv 2607.04935) argues schedulers actually face.
 
-// RegretConfig scopes the regret sweep.
-type RegretConfig struct {
-	Config
-	// ErrScales are the injected error magnitudes (0 = perfect predictions;
-	// scale s distorts each prediction by up to e^±s).
-	ErrScales []float64
-	// Biases are the noise sign biases (+1 only over-predicts, -1 only
-	// under-predicts, 0 symmetric). Scale 0 runs only with bias 0 — all
-	// biases collapse to the identity there.
-	Biases []float64
-	// Headrooms are the admission budget multipliers to sweep.
-	Headrooms []float64
-}
-
-// DefaultRegretConfig sizes the sweep to run in well under a minute while
-// covering both signs of error and both directions of the headroom knob.
-func DefaultRegretConfig() RegretConfig {
-	return RegretConfig{
-		Config:    Config{Scale: 10, Seed: 42},
-		ErrScales: []float64{0, 0.5, 1, 2},
-		Biases:    []float64{-1, 0, 1},
-		Headrooms: []float64{1, 2},
-	}
-}
-
-// RegretClasses is the SLO class table of the regret experiment: the
-// admission controller's default three-tier contract.
-func RegretClasses() map[string]admission.ClassConfig {
-	return admission.DefaultClasses()
-}
+// The sweep grid. Scale 0 is perfect prediction and scale s distorts each
+// prediction by up to e^±s; bias +1 only over-predicts, -1 only
+// under-predicts and 0 is symmetric (scale 0 runs only once per headroom,
+// since every bias collapses to the identity there); the headrooms multiply
+// every admission wait budget. The grid covers both signs of error and both
+// directions of the headroom knob and runs in well under a minute at the
+// default scale.
+var (
+	regretErrScales = []float64{0, 0.5, 1, 2}
+	regretBiases    = []float64{-1, 0, 1}
+	regretHeadrooms = []float64{1, 2}
+)
 
 // RegretClassOf assigns a job's SLO class deterministically from its ID
 // (20% interactive, 50% standard, 30% batch). The job's own Class field is
@@ -90,45 +72,30 @@ const shedCost = 1.0
 
 // RegretCell is one (workload, scheme, error, headroom) point of the sweep.
 type RegretCell struct {
-	Workload string  `json:"workload"`
-	Scheme   string  `json:"scheme"`
-	ErrScale float64 `json:"errScale"`
-	Bias     float64 `json:"bias"`
-	Headroom float64 `json:"headroom"`
+	Workload string
+	Scheme   string
+	ErrScale float64
+	Bias     float64
+	Headroom float64
 
-	Arrivals    int     `json:"arrivals"`
-	Shed        int     `json:"shed"`
-	ShedRate    float64 `json:"shedRate"`
-	MeanWaitMin float64 `json:"meanWaitMin"` // admitted jobs
-	Utilization float64 `json:"utilization"` // fraction of capacity over the makespan
-	GoodputFrac float64 `json:"goodputFrac"` // completed work / offered work
+	ShedRate    float64
+	MeanWaitMin float64 // admitted jobs
 
 	// Attainment is the fraction of non-shed jobs of each class that met
 	// the class wait budget, plus an "all" aggregate.
-	Attainment map[string]float64 `json:"attainment"`
+	Attainment map[string]float64
 
 	// Cost is the mean per-arrival SLO cost; Regret is the cost increase
 	// over the same configuration at error scale 0 (always 0 there, and
 	// meaningless for the prediction-free baseline scheme).
-	Cost   float64 `json:"cost"`
-	Regret float64 `json:"regret"`
+	Cost   float64
+	Regret float64
 
 	// WaitVsBaselineP is the Welch p-value of the admitted-wait difference
 	// against the fcfs-always baseline on the same workload;
 	// WaitBelowBaseline reports a significantly lower mean (p < 0.05).
-	WaitVsBaselineP   float64 `json:"waitVsBaselineP,omitempty"`
-	WaitBelowBaseline bool    `json:"waitBelowBaseline,omitempty"`
-}
-
-// RegretReport is the machine-readable result of the sweep.
-type RegretReport struct {
-	Scale     int                              `json:"scale"`
-	Seed      int64                            `json:"seed"`
-	Classes   map[string]admission.ClassConfig `json:"classes"`
-	ErrScales []float64                        `json:"errScales"`
-	Biases    []float64                        `json:"biases"`
-	Headrooms []float64                        `json:"headrooms"`
-	Cells     []RegretCell                     `json:"cells"`
+	WaitVsBaselineP   float64
+	WaitBelowBaseline bool
 }
 
 // schemeRun is the raw material of one cell before scoring.
@@ -138,11 +105,10 @@ type schemeRun struct {
 }
 
 // scoreCell fills a cell's outcome fields from a finished run.
-func scoreCell(cell *RegretCell, run schemeRun, classes map[string]admission.ClassConfig, offeredWork int64) {
+func scoreCell(cell *RegretCell, run schemeRun, classes map[string]admission.ClassConfig) {
 	attainedBy := map[string]int{}
 	totalBy := map[string]int{}
 	var cost float64
-	var goodWork int64
 	arrivals := 0
 	for _, j := range run.res.Jobs {
 		if j.Cancelled {
@@ -153,7 +119,6 @@ func scoreCell(cell *RegretCell, run schemeRun, classes map[string]admission.Cla
 			cost += shedCost
 			continue
 		}
-		goodWork += j.Work()
 		cls := RegretClassOf(j)
 		budget := classes[cls].WaitBudgetSec
 		totalBy[cls]++
@@ -169,17 +134,11 @@ func scoreCell(cell *RegretCell, run schemeRun, classes map[string]admission.Cla
 		}
 		cost += over
 	}
-	cell.Arrivals = arrivals
-	cell.Shed = run.res.Shed
 	if arrivals > 0 {
 		cell.ShedRate = float64(run.res.Shed) / float64(arrivals)
 		cell.Cost = cost / float64(arrivals)
 	}
 	cell.MeanWaitMin = run.res.MeanWaitMinutes()
-	cell.Utilization = run.res.Utilization
-	if offeredWork > 0 {
-		cell.GoodputFrac = float64(goodWork) / float64(offeredWork)
-	}
 	cell.Attainment = map[string]float64{}
 	for cls, total := range totalBy {
 		cell.Attainment[cls] = float64(attainedBy[cls]) / float64(total)
@@ -214,7 +173,7 @@ func runPredictive(w *workload.Workload, pred predict.Predictor,
 	classes map[string]admission.ClassConfig, headroom float64, defaultRT int64) (schemeRun, error) {
 
 	pol := sched.SJF{}
-	acfg := admission.Config{
+	ctrl, err := admission.New(admission.Config{
 		Classes:      classes,
 		DefaultClass: "standard",
 		Headroom:     headroom,
@@ -224,13 +183,7 @@ func runPredictive(w *workload.Workload, pred predict.Predictor,
 		Predictor:    pred,
 		Decision:     pred, // the simulated scheduler is the real one: both rank by the noisy estimates
 		DefaultRT:    defaultRT,
-	}
-	// The headroom sweep values come from a flag; validate the assembled
-	// config before the class tables are built from it.
-	if err := acfg.Validate(); err != nil {
-		return schemeRun{}, err
-	}
-	ctrl, err := admission.New(acfg)
+	})
 	if err != nil {
 		return schemeRun{}, err
 	}
@@ -255,44 +208,30 @@ func welchAgainst(cell *RegretCell, run, baseline schemeRun) {
 
 // RegretExperiment runs the full sweep: on each study workload, the
 // fcfs-always baseline once, then sjf-admit at every (error scale, bias,
-// headroom) combination, scoring each cell and computing regret against
-// the zero-error cell of the same configuration.
-func RegretExperiment(cfg RegretConfig) (*RegretReport, error) {
-	if len(cfg.ErrScales) == 0 || len(cfg.Headrooms) == 0 {
-		return nil, fmt.Errorf("exp: regret sweep needs error scales and headrooms")
-	}
-	biases := cfg.Biases
-	if len(biases) == 0 {
-		biases = []float64{0}
-	}
+// headroom) combination of the grid, scoring each cell and computing regret
+// against the zero-error cell of the same configuration.
+func RegretExperiment(cfg Config) ([]RegretCell, error) {
 	defaultRT := cfg.DefaultRT
 	if defaultRT <= 0 {
 		defaultRT = predict.DefaultRuntime
 	}
-	classes := RegretClasses()
-	ws, err := studyWorkloads(cfg.Config)
+	classes := admission.DefaultClasses()
+	ws, err := studyWorkloads(cfg)
 	if err != nil {
 		return nil, err
 	}
 
-	report := &RegretReport{
-		Scale: cfg.Scale, Seed: cfg.Seed, Classes: classes,
-		ErrScales: cfg.ErrScales, Biases: biases, Headrooms: cfg.Headrooms,
-	}
+	var cells []RegretCell
 	for _, w := range ws {
-		offered := int64(0)
-		for _, j := range w.Jobs {
-			offered += j.Work()
-		}
 		baseline, err := runBaseline(w)
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", w.Name, err)
 		}
 		base := RegretCell{Workload: w.Name, Scheme: "fcfs-always", Headroom: 1}
-		scoreCell(&base, baseline, classes, offered)
-		report.Cells = append(report.Cells, base)
+		scoreCell(&base, baseline, classes)
+		cells = append(cells, base)
 
-		for _, headroom := range cfg.Headrooms {
+		for _, headroom := range regretHeadrooms {
 			// The zero-error anchor runs exactly once per headroom (every
 			// bias collapses to the identity at scale 0) and its cost is the
 			// baseline every noisy cell's regret is measured against.
@@ -302,15 +241,15 @@ func RegretExperiment(cfg RegretConfig) (*RegretReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s sjf-admit anchor: %w", w.Name, err)
 			}
-			scoreCell(&anchor, run, classes, offered)
+			scoreCell(&anchor, run, classes)
 			welchAgainst(&anchor, run, baseline)
-			report.Cells = append(report.Cells, anchor)
+			cells = append(cells, anchor)
 
-			for _, scale := range cfg.ErrScales {
+			for _, scale := range regretErrScales {
 				if scale == 0 {
 					continue // covered by the anchor cell
 				}
-				for _, bias := range biases {
+				for _, bias := range regretBiases {
 					pred := predict.Noisy{Inner: predict.Oracle{}, Scale: scale, Bias: bias, Seed: cfg.Seed}
 					run, err := runPredictive(w, pred, classes, headroom, defaultRT)
 					if err != nil {
@@ -320,24 +259,24 @@ func RegretExperiment(cfg RegretConfig) (*RegretReport, error) {
 						Workload: w.Name, Scheme: "sjf-admit",
 						ErrScale: scale, Bias: bias, Headroom: headroom,
 					}
-					scoreCell(&cell, run, classes, offered)
+					scoreCell(&cell, run, classes)
 					welchAgainst(&cell, run, baseline)
 					cell.Regret = cell.Cost - anchor.Cost
-					report.Cells = append(report.Cells, cell)
+					cells = append(cells, cell)
 				}
 			}
 		}
 	}
-	return report, nil
+	return cells, nil
 }
 
-// MeanRegretByScale aggregates a report's sjf-admit cells at one headroom:
-// mean regret per error scale across all workloads and biases — the series
+// meanRegretByScale aggregates the sjf-admit cells at one headroom: mean
+// regret per error scale across all workloads and biases — the series
 // whose monotone growth is the experiment's headline claim.
-func (r *RegretReport) MeanRegretByScale(headroom float64) map[float64]float64 {
+func meanRegretByScale(cells []RegretCell, headroom float64) map[float64]float64 {
 	sum := map[float64]float64{}
 	n := map[float64]int{}
-	for _, c := range r.Cells {
+	for _, c := range cells {
 		if c.Scheme != "sjf-admit" || c.Headroom != headroom {
 			continue
 		}
@@ -351,9 +290,15 @@ func (r *RegretReport) MeanRegretByScale(headroom float64) map[float64]float64 {
 	return out
 }
 
-// TableRegret renders the report in the repository's table idiom: one row
-// per cell, attainment by class, cost and regret.
-func TableRegret(r *RegretReport) *Table {
+// TableRegret runs the sweep and renders it in the repository's table
+// idiom: one row per cell (attainment by class, cost and regret), then the
+// mean-regret-by-scale series, one row per (headroom, error scale) with
+// workload and bias "all".
+func TableRegret(cfg Config) (*Table, error) {
+	cells, err := RegretExperiment(cfg)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "Regret",
 		Caption: "Price of misprediction: SJF + predictive SLO admission vs FCFS/always-admit",
@@ -367,7 +312,7 @@ func TableRegret(r *RegretReport) *Table {
 		}
 		return fmt.Sprintf("%.0f%%", 100*v)
 	}
-	for _, c := range r.Cells {
+	for _, c := range cells {
 		p := "-"
 		if c.Scheme == "sjf-admit" && !math.IsNaN(c.WaitVsBaselineP) && c.WaitVsBaselineP > 0 {
 			p = fmt.Sprintf("%.3f", c.WaitVsBaselineP)
@@ -386,5 +331,14 @@ func TableRegret(r *RegretReport) *Table {
 			p,
 		})
 	}
-	return t
+	for _, h := range regretHeadrooms {
+		mean := meanRegretByScale(cells, h)
+		for _, s := range regretErrScales {
+			t.Rows = append(t.Rows, []string{
+				"all", "sjf-admit", fmt.Sprintf("%.1f", s), "all", fmt.Sprintf("%.1f", h),
+				"-", "-", "-", "-", "-", "-", "-", fmt.Sprintf("%.4f", mean[s]), "-",
+			})
+		}
+	}
+	return t, nil
 }

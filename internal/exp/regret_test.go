@@ -27,12 +27,6 @@ func TestRegretClassOfDistribution(t *testing.T) {
 	}
 }
 
-func TestRegretConfigValidation(t *testing.T) {
-	if _, err := RegretExperiment(RegretConfig{}); err == nil {
-		t.Fatal("empty sweep accepted")
-	}
-}
-
 // TestRegretExperimentAcceptance runs the committed default sweep and checks
 // the experiment's two qualitative claims: with perfect predictions the
 // predictive stack dominates the FCFS/always-admit baseline on most
@@ -42,15 +36,14 @@ func TestRegretExperimentAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	cfg := DefaultRegretConfig()
-	r, err := RegretExperiment(cfg)
+	cells, err := RegretExperiment(DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	baselines := map[string]RegretCell{}
 	zeroErr := map[string]RegretCell{} // headroom 1 anchors
-	for _, c := range r.Cells {
+	for _, c := range cells {
 		if c.ShedRate < 0 || c.ShedRate > 1 {
 			t.Errorf("%s %s: shed rate %v", c.Workload, c.Scheme, c.ShedRate)
 		}
@@ -83,14 +76,14 @@ func TestRegretExperimentAcceptance(t *testing.T) {
 		t.Errorf("zero-error dominance on %d/4 workloads, want >= 3", dominated)
 	}
 
-	mean := r.MeanRegretByScale(1)
+	mean := meanRegretByScale(cells, 1)
 	scales := make([]float64, 0, len(mean))
 	for s := range mean {
 		scales = append(scales, s)
 	}
 	sort.Float64s(scales)
-	if len(scales) != len(cfg.ErrScales) {
-		t.Fatalf("regret series over %d scales, want %d", len(scales), len(cfg.ErrScales))
+	if len(scales) != len(regretErrScales) {
+		t.Fatalf("regret series over %d scales, want %d", len(scales), len(regretErrScales))
 	}
 	if mean[0] != 0 {
 		t.Errorf("mean regret at scale 0 = %v, want 0", mean[0])
@@ -106,41 +99,42 @@ func TestRegretExperimentAcceptance(t *testing.T) {
 	}
 }
 
+// TestRegretReportRenderAndJSON renders the sweep as the regret table: one
+// row per cell, then the mean-regret series, and a JSON object that keeps
+// every row.
 func TestRegretReportRenderAndJSON(t *testing.T) {
-	cfg := RegretConfig{
-		Config:    Config{Scale: 100, Seed: 7},
-		ErrScales: []float64{0, 1},
-		Biases:    []float64{0},
-		Headrooms: []float64{1},
-	}
-	r, err := RegretExperiment(cfg)
+	tab, err := TableRegret(Config{Scale: 100, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 workloads x (1 baseline + 1 anchor + 1 noisy cell).
-	if len(r.Cells) != 12 {
-		t.Fatalf("%d cells, want 12", len(r.Cells))
+	// 4 workloads x (1 baseline + 2 headrooms x (1 anchor + 3 scales x 3
+	// biases)), then 2 headrooms x 4 scales of the mean-regret series.
+	if len(tab.Rows) != 4*(1+2*(1+3*3))+2*4 {
+		t.Fatalf("%d rows, want %d", len(tab.Rows), 4*(1+2*(1+3*3))+2*4)
 	}
-
-	text := TableRegret(r).String()
+	text := tab.String()
 	for _, want := range []string{"fcfs-always", "sjf-admit", "Regret", "SLO(all)"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("rendered table missing %q", want)
 		}
 	}
+	last := tab.Rows[len(tab.Rows)-1]
+	if last[0] != "all" || last[2] != "2.0" || last[3] != "all" || last[4] != "2.0" {
+		t.Errorf("last row %q, want the mean regret at error 2, headroom 2", last)
+	}
 
-	b, err := json.Marshal(r)
+	b, err := json.Marshal(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back RegretReport
+	var back struct {
+		ID   string     `json:"id"`
+		Rows [][]string `json:"rows"`
+	}
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Cells) != len(r.Cells) || back.Scale != cfg.Scale {
-		t.Fatalf("round-trip lost cells: %d/%d", len(back.Cells), len(r.Cells))
-	}
-	if back.Classes["interactive"].WaitBudgetSec != 600 {
-		t.Errorf("classes did not survive JSON: %+v", back.Classes)
+	if back.ID != "Regret" || len(back.Rows) != len(tab.Rows) {
+		t.Fatalf("round-trip lost rows: %d/%d", len(back.Rows), len(tab.Rows))
 	}
 }

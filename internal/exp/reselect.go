@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/obs/accuracy"
 	"repro/internal/predict"
@@ -55,86 +56,60 @@ func Stable(w *workload.Workload) ([]accuracy.Member, error) {
 	}, nil
 }
 
-// DriftConfig tunes the injected regime change and the controller.
-type DriftConfig struct {
-	StepFrac  float64 // step position as a fraction of the trace (default 0.5)
-	Fill      float64 // post-step run time as a fraction of MaxRunTime (default 0.95)
-	CostRatio float64 // asymmetric cost ratio (default stats.DefaultCostRatio)
-	Window    int     // tracker window for serving + shadow streams (default 32)
-	MinDwell  int64   // completions between switches (default 2×Window)
-}
-
-// DefaultDriftConfig returns the EXPERIMENTS.md sweep configuration.
-func DefaultDriftConfig() DriftConfig {
-	return DriftConfig{StepFrac: 0.5, Fill: 0.95, CostRatio: stats.DefaultCostRatio, Window: 32, MinDwell: 64}
-}
-
-func (dc *DriftConfig) fill() {
-	if dc.StepFrac <= 0 || dc.StepFrac >= 1 {
-		dc.StepFrac = 0.5
-	}
-	if dc.Fill <= 0 {
-		dc.Fill = 0.95
-	}
-	if dc.CostRatio <= 0 {
-		dc.CostRatio = stats.DefaultCostRatio
-	}
-	if dc.Window < 2 {
-		dc.Window = 32
-	}
-	if dc.MinDwell <= 0 {
-		dc.MinDwell = 2 * int64(dc.Window)
-	}
-}
+// The injected regime change and the controller's settings: the step sits
+// halfway through the trace, every post-step job runs at 95% of its
+// maximum run time, and the serving and shadow streams score over a window
+// of 32 completions with at least 64 completions between switches.
+const (
+	driftStepFrac = 0.5
+	driftFill     = 0.95
+	driftWindow   = 32
+	driftDwell    = 2 * driftWindow
+)
 
 // ReselectVariant is one arm of the comparison.
 type ReselectVariant struct {
-	Reselect     bool                   `json:"reselect"`
-	Predictor    string                 `json:"predictor"` // serving predictor at the end of the run
-	Switches     int64                  `json:"switches"`
-	Events       []accuracy.SwitchEvent `json:"events,omitempty"`
-	N            int                    `json:"postStepCompletions"`
-	PostTail     float64                `json:"postTailScore"`       // TailCompositeSample over post-step signed errors
-	PostMeanCost float64                `json:"postMeanCostSeconds"` // mean per-completion asymmetric cost
-	costs        []float64              // per-completion asymmetric cost, for the t-test
+	Reselect     bool
+	Predictor    string // serving predictor at the end of the run
+	Switches     int64
+	Events       []accuracy.SwitchEvent
+	N            int       // post-step completions scored
+	PostTail     float64   // TailCompositeSample over post-step signed errors
+	PostMeanCost float64   // mean per-completion asymmetric cost
+	costs        []float64 // per-completion asymmetric cost, for the t-test
 }
 
 // ReselectResult is one workload's baseline-versus-adaptive comparison.
 type ReselectResult struct {
-	Workload  string          `json:"workload"`
-	Policy    string          `json:"policy"`
-	StepAt    int             `json:"stepAt"`
-	Fill      float64         `json:"fill"`
-	CostRatio float64         `json:"costRatio"`
-	Baseline  ReselectVariant `json:"baseline"`
-	Adaptive  ReselectVariant `json:"adaptive"`
+	Workload string
+	StepAt   int
+	Baseline ReselectVariant
+	Adaptive ReselectVariant
 	// T and P compare the two variants' per-completion post-step
 	// asymmetric costs (Welch, two-sided).
-	T float64 `json:"t"`
-	P float64 `json:"p"`
+	T float64
+	P float64
 }
 
 // ReselectExperiment runs the drift-injection comparison on one workload.
-func ReselectExperiment(w *workload.Workload, pol sim.Policy, dc DriftConfig, cfg Config) (ReselectResult, error) {
-	dc.fill()
-	stepAt := int(dc.StepFrac * float64(len(w.Jobs)))
-	wl := w.InjectRuntimeStep(stepAt, dc.Fill)
+func ReselectExperiment(w *workload.Workload, pol sim.Policy) (ReselectResult, error) {
+	stepAt := int(driftStepFrac * float64(len(w.Jobs)))
+	wl := w.InjectRuntimeStep(stepAt, driftFill)
 	post := make(map[int]bool, len(wl.Jobs)-stepAt)
 	for _, j := range wl.Jobs[stepAt:] {
 		post[j.ID] = true
 	}
 
-	base, err := reselectVariant(wl, pol, dc, post, false)
+	base, err := reselectVariant(wl, pol, post, false)
 	if err != nil {
 		return ReselectResult{}, err
 	}
-	adapt, err := reselectVariant(wl, pol, dc, post, true)
+	adapt, err := reselectVariant(wl, pol, post, true)
 	if err != nil {
 		return ReselectResult{}, err
 	}
 	out := ReselectResult{
-		Workload: w.Name, Policy: pol.Name(),
-		StepAt: stepAt, Fill: dc.Fill, CostRatio: dc.CostRatio,
+		Workload: w.Name, StepAt: stepAt,
 		Baseline: base, Adaptive: adapt,
 	}
 	var mb, ma stats.Moments
@@ -154,7 +129,7 @@ func ReselectExperiment(w *workload.Workload, pol sim.Policy, dc DriftConfig, cf
 // predictor or the full re-selection pipeline, and scores every post-step
 // completion with the estimate in force immediately before the predictor
 // observes it.
-func reselectVariant(wl *workload.Workload, pol sim.Policy, dc DriftConfig, post map[int]bool, reselect bool) (ReselectVariant, error) {
+func reselectVariant(wl *workload.Workload, pol sim.Policy, post map[int]bool, reselect bool) (ReselectVariant, error) {
 	stable, err := Stable(wl)
 	if err != nil {
 		return ReselectVariant{}, err
@@ -163,14 +138,14 @@ func reselectVariant(wl *workload.Workload, pol sim.Policy, dc DriftConfig, post
 	var r *accuracy.Reselector
 	if reselect {
 		sw := predict.NewSwitchable(stable[0].P)
-		shadowTr := accuracy.New(accuracy.WithWindow(dc.Window), accuracy.WithCostRatio(dc.CostRatio))
-		sh := accuracy.NewShadow(stable, shadowTr, dc.Window)
+		shadowTr := accuracy.New(accuracy.WithWindow(driftWindow), accuracy.WithCostRatio(stats.DefaultCostRatio))
+		sh := accuracy.NewShadow(stable, shadowTr, driftWindow)
 		serving := accuracy.New(
-			accuracy.WithWindow(dc.Window),
-			accuracy.WithMinBaseline(dc.Window),
-			accuracy.WithCostRatio(dc.CostRatio),
+			accuracy.WithWindow(driftWindow),
+			accuracy.WithMinBaseline(driftWindow),
+			accuracy.WithCostRatio(stats.DefaultCostRatio),
 		)
-		r = accuracy.NewReselector(sw, sh, serving, accuracy.ReselectConfig{MinDwell: dc.MinDwell})
+		r = accuracy.NewReselector(sw, sh, serving, accuracy.ReselectConfig{MinDwell: driftDwell})
 		pred = r
 	}
 
@@ -186,7 +161,7 @@ func reselectVariant(wl *workload.Workload, pol sim.Policy, dc DriftConfig, post
 			}
 			e := float64(predict.Estimate(pred, j, 0, predict.DefaultRuntime) - j.RunTime)
 			errs = append(errs, e)
-			v.costs = append(v.costs, stats.AsymCost(e, dc.CostRatio))
+			v.costs = append(v.costs, stats.AsymCost(e, stats.DefaultCostRatio))
 		},
 	}
 	if _, err := sim.Run(wl, pol, pred, opts); err != nil {
@@ -199,7 +174,7 @@ func reselectVariant(wl *workload.Workload, pol sim.Policy, dc DriftConfig, post
 	}
 	v.N = len(errs)
 	if len(errs) > 0 {
-		v.PostTail = stats.TailCompositeSample(errs, dc.CostRatio)
+		v.PostTail = stats.TailCompositeSample(errs, stats.DefaultCostRatio)
 		var m stats.Moments
 		for _, c := range v.costs {
 			m.Add(c)
@@ -209,27 +184,46 @@ func reselectVariant(wl *workload.Workload, pol sim.Policy, dc DriftConfig, post
 	return v, nil
 }
 
-// ReselectSweep runs the drift-injection comparison across the study
-// workloads (or the single named one) under Backfill.
-func ReselectSweep(names []string, dc DriftConfig, cfg Config) ([]ReselectResult, error) {
-	if len(names) == 0 {
-		names = workload.StudyNames
+// TableReselect runs the drift-injection comparison on every study
+// workload under Backfill and renders one row per arm: the serving
+// predictor at the end of the run, the switches the adaptive arm made
+// (target@completion), the post-step tail score and mean asymmetric cost,
+// and on the adaptive row the Welch t-test of the two arms' per-completion
+// costs.
+func TableReselect(cfg Config) (*Table, error) {
+	t := &Table{
+		ID: "Re-selection",
+		Caption: fmt.Sprintf("Drift-injection re-selection under Backfill: run times step to %.0f%% of the limit at %.0f%% of the trace (cost ratio %g)",
+			100*driftFill, 100*driftStepFrac, stats.DefaultCostRatio),
+		Headers: []string{"Workload", "StepAt", "PostStep", "Arm", "Predictor", "Switches",
+			"PostTail(min)", "MeanAsymCost(min)", "Welch t", "p"},
 	}
-	pol := sched.ByName("Backfill")
-	if pol == nil {
-		return nil, fmt.Errorf("exp: Backfill policy unavailable")
-	}
-	out := make([]ReselectResult, 0, len(names))
-	for i, name := range names {
+	for i, name := range workload.StudyNames {
 		w, err := workload.Study(name, cfg.Scale, cfg.Seed+int64(i)*1000)
 		if err != nil {
 			return nil, err
 		}
-		res, err := ReselectExperiment(w, pol, dc, cfg)
+		r, err := ReselectExperiment(w, sched.Backfill{})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("reselect %s: %w", name, err)
 		}
-		out = append(out, res)
+		for _, v := range []ReselectVariant{r.Baseline, r.Adaptive} {
+			arm, switches, tt, p := "baseline", "-", "-", "-"
+			if v.Reselect {
+				arm, tt, p = "adaptive", fmt.Sprintf("%.2f", r.T), fmt.Sprintf("%.3g", r.P)
+				var path []string
+				for _, ev := range v.Events {
+					path = append(path, fmt.Sprintf("%s@%d", ev.To, ev.Completions))
+				}
+				if len(path) > 0 {
+					switches = strings.Join(path, " ")
+				}
+			}
+			t.Rows = append(t.Rows, []string{
+				r.Workload, fmt.Sprintf("%d", r.StepAt), fmt.Sprintf("%d", v.N), arm, v.Predictor, switches,
+				fmt.Sprintf("%.1f", v.PostTail/60), fmt.Sprintf("%.1f", v.PostMeanCost/60), tt, p,
+			})
+		}
 	}
-	return out, nil
+	return t, nil
 }

@@ -44,7 +44,7 @@ func TestReselectExperimentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReselectExperiment(w, sched.ByName("Backfill"), DefaultDriftConfig(), DefaultConfig)
+	res, err := ReselectExperiment(w, sched.Backfill{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestReselectExperimentDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := sched.ByName("Backfill")
-	a, err := ReselectExperiment(w, pol, DefaultDriftConfig(), DefaultConfig)
+	a, err := ReselectExperiment(w, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReselectExperiment(w, pol, DefaultDriftConfig(), DefaultConfig)
+	b, err := ReselectExperiment(w, pol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,6 +243,20 @@ func Table15(cfg Config) (*Table, error) {
 	return schedTable("Table 15", "Scheduling performance using Downey's conditional median run-time predictor", KindDowneyMed, cfg)
 }
 
+// compressedSDSC is §4's loaded configuration: the SDSC95 and SDSC96 study
+// workloads with their interarrival times compressed 2x.
+func compressedSDSC(cfg Config) ([]*workload.Workload, error) {
+	var ws []*workload.Workload
+	for i, name := range []string{"SDSC95", "SDSC96"} {
+		base, err := workload.Study(name, cfg.Scale, cfg.Seed+int64(2+i)*1000)
+		if err != nil {
+			return nil, err
+		}
+		ws = append(ws, workload.Compress(base, 2))
+	}
+	return ws, nil
+}
+
 // Section4Compression reproduces the §4 experiment: compress the SDSC
 // interarrival times by 2× and compare all predictors' mean wait times
 // under LWF and backfill.
@@ -253,12 +267,11 @@ func Section4Compression(cfg Config) (*Table, error) {
 		Headers: []string{"Workload", "Scheduling Algorithm", "actual", "maxrt", "smith", "gibbons", "downey-avg", "downey-med"},
 	}
 	kinds := []PredictorKind{KindActual, KindMaxRT, KindSmith, KindGibbons, KindDowneyAvg, KindDowneyMed}
-	for i, name := range []string{"SDSC95", "SDSC96"} {
-		base, err := workload.Study(name, cfg.Scale, cfg.Seed+int64(2+i)*1000)
-		if err != nil {
-			return nil, err
-		}
-		w := workload.Compress(base, 2)
+	ws, err := compressedSDSC(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range ws {
 		for _, pol := range lwfBF() {
 			row := []string{w.Name, pol.Name()}
 			for _, kind := range kinds {
@@ -317,12 +330,12 @@ func AblationCancellations(cfg Config) (*Table, error) {
 		Caption: "Backfill under 30% queue cancellations (2x-compressed SDSC): mean wait (minutes) / jobs withdrawn",
 		Headers: []string{"Workload", "Predictor", "Mean Wait", "Withdrawn"},
 	}
-	for i, name := range []string{"SDSC95", "SDSC96"} {
-		base, err := workload.Study(name, cfg.Scale, cfg.Seed+int64(2+i)*1000)
-		if err != nil {
-			return nil, err
-		}
-		w := workload.Compress(base, 2).InjectCancellations(0.3, 1800, cfg.Seed)
+	ws, err := compressedSDSC(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, cw := range ws {
+		w := cw.InjectCancellations(0.3, 1800, cfg.Seed)
 		for _, kind := range []PredictorKind{KindActual, KindMaxRT, KindSmith} {
 			pred, err := NewPredictor(kind, w)
 			if err != nil {
@@ -406,11 +419,16 @@ func AllTables() []struct {
 		{"section4", Section4Compression},
 		{"ablation-backfill", AblationBackfillVariants},
 		{"ablation-cancellations", AblationCancellations},
+		{"ablation-search", AblationSearch},
+		{"ablation-predictor", AblationPredictor},
 		{"futurework-statewait", FutureWorkStateWait},
+		{"futurework-reservations", FutureWorkReservations},
 		{"runtime-errors", RuntimeErrors},
 		{"walkforward", WalkForwardTable},
 		{"replication", ReplicationTable},
 		{"metascheduling", MetaschedulingTable},
+		{"regret", TableRegret},
+		{"reselect", TableReselect},
 	}
 }
 

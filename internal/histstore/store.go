@@ -113,6 +113,7 @@ type storeMetrics struct {
 	walRecords  *obs.Counter
 	walBytes    *obs.Gauge
 	walErrors   *obs.Counter
+	refused     *obs.Counter
 	snapSeconds *obs.Histogram
 	insertLat   *obs.Histogram
 	predictLat  *obs.Histogram
@@ -144,7 +145,8 @@ const DefaultMaxCategories = 1 << 20
 
 // ErrCategoryLimit is returned by Insert when creating one more category
 // would exceed the store's cap (WithMaxCategories). Points for existing
-// categories are unaffected.
+// categories are unaffected. Each refusal counts under the
+// histstore.categories.refused metric.
 var ErrCategoryLimit = errors.New("histstore: category limit reached")
 
 // WithMaxCategories caps the total number of categories (0 disables the
@@ -197,6 +199,7 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 		walRecords:  reg.Counter("histstore.wal.records"),
 		walBytes:    reg.Gauge("histstore.wal.bytes"),
 		walErrors:   reg.Counter("histstore.wal.errors"),
+		refused:     reg.Counter("histstore.categories.refused"),
 		snapSeconds: reg.Histogram("histstore.snapshot.seconds"),
 		insertLat:   reg.Histogram("histstore.insert.latency_seconds"),
 		predictLat:  reg.Histogram("histstore.predict.latency_seconds"),
@@ -262,6 +265,9 @@ func (s *Store) Insert(ctx context.Context, key []byte, maxHistory int, p Point)
 	// leave a record the next replay would also have to reject.
 	if err := s.roomFor(sh, key); err != nil {
 		sh.mu.Unlock()
+		if m != nil {
+			m.refused.Inc()
+		}
 		return err
 	}
 	if s.wal != nil {

@@ -45,11 +45,18 @@ const minPoints = 8
 // observations from then on.
 const refitInterval = 32
 
+// maxHistory bounds the run times a category keeps, as the core
+// predictor's largest template history does: a fit uses the most recent
+// maxHistory observations, so memory and refit cost stay bounded however
+// long a daemon feeds the predictor.
+const maxHistory = 16384
+
 // category models one queue's run-time distribution. The fit is made in add,
 // never in predict, so it depends only on the observations and not on how
 // often the category was asked.
 type category struct {
-	runTimes []float64
+	runTimes []float64 // ring of the last maxHistory run times
+	n        int       // observations ever added; drives the refit cadence
 	beta0    float64
 	beta1    float64
 	tmax     float64
@@ -57,13 +64,18 @@ type category struct {
 }
 
 func (c *category) add(rt float64) {
-	c.runTimes = append(c.runTimes, rt)
-	if n := len(c.runTimes); n >= minPoints && (n-minPoints)%refitInterval == 0 {
+	if len(c.runTimes) < maxHistory {
+		c.runTimes = append(c.runTimes, rt)
+	} else {
+		c.runTimes[c.n%maxHistory] = rt
+	}
+	c.n++
+	if c.n >= minPoints && (c.n-minPoints)%refitInterval == 0 {
 		c.fit()
 	}
 }
 
-// fit regresses the empirical CDF against ln t.
+// fit regresses the empirical CDF of the kept run times against ln t.
 func (c *category) fit() {
 	c.valid = false
 	n := len(c.runTimes)

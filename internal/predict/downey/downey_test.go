@@ -169,6 +169,44 @@ func TestPredictIsPure(t *testing.T) {
 	}
 }
 
+// TestHistoryIsBounded feeds a predictor 16384+k observations, the first k
+// from a short-running regime, and requires the predictions of a fresh
+// predictor fitted on only the last 16384: the evicted regime must leave no
+// trace, and a category keeps at most 16384 run times.
+func TestHistoryIsBounded(t *testing.T) {
+	const bound, k = 16384, 1000 // 16384+k-8 is a multiple of 32: a refit point
+	for _, mode := range []Mode{ConditionalMedian, ConditionalAverage} {
+		rng := rand.New(rand.NewSource(41))
+		jobs := make([]*workload.Job, bound+k)
+		for i := range jobs {
+			tmax := 1e5
+			if i < k {
+				tmax = 100
+			}
+			jobs[i] = qj("q", int64(math.Max(1, math.Round(math.Exp(rng.Float64()*math.Log(tmax))))))
+		}
+		long, fresh := New(mode), New(mode)
+		for _, j := range jobs {
+			long.Observe(j)
+		}
+		for _, j := range jobs[k:] {
+			fresh.Observe(j)
+		}
+		fresh.cats["q"].fit() // 16384 is not itself a refit point
+		for _, age := range []int64{0, 60, 3600} {
+			l, lok := long.Predict(qj("q", 0), age)
+			f, fok := fresh.Predict(qj("q", 0), age)
+			if l != f || lok != fok || !lok {
+				t.Fatalf("mode %v, age %d: after %d observations %d, %v; fresh on the last %d %d, %v",
+					mode, age, bound+k, l, lok, bound, f, fok)
+			}
+		}
+		if n := len(long.cats["q"].runTimes); n != bound {
+			t.Fatalf("mode %v: category keeps %d run times, want %d", mode, n, bound)
+		}
+	}
+}
+
 func TestNames(t *testing.T) {
 	if New(ConditionalMedian).Name() != "downey-med" ||
 		New(ConditionalAverage).Name() != "downey-avg" {

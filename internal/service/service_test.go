@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -661,5 +664,54 @@ func TestStoreBackedConcurrentObservePredict(t *testing.T) {
 	}
 	if err := s.pred.StoreErr(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObserveAtCategoryCap: at the store's category cap, /v1/observe keeps
+// answering 200; the jobs whose categories are refused still train the
+// categories that exist, and each refusal counts under
+// histstore.categories.refused while the category gauge stays at the cap.
+func TestObserveAtCategoryCap(t *testing.T) {
+	const maxCats = 6
+	st, err := histstore.Open(t.TempDir(), histstore.WithMaxCategories(maxCats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	var refusals atomic.Int64
+	pred := core.New(core.DefaultTemplates(
+		workload.MaskOf(workload.CharUser, workload.CharExec), true),
+		core.WithStore(st),
+		core.WithStoreErrorHandler(func(err error) {
+			if !errors.Is(err, histstore.ErrCategoryLimit) {
+				t.Errorf("store error %v, want ErrCategoryLimit", err)
+			}
+			refusals.Add(1)
+		}))
+	s := New(pred, 64)
+	s.SetStore(st)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	for i := 0; i < 20; i++ {
+		user := fmt.Sprintf("user%d", i)
+		if resp := post(t, ts.URL+"/v1/observe", ObserveRequest{Job: job(i, user, 4, 300, 900)}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("observe %s: status %d, want 200", user, resp.StatusCode)
+		}
+	}
+	if st.Categories() != maxCats {
+		t.Fatalf("store holds %d categories, want the cap %d", st.Categories(), maxCats)
+	}
+	snap := getMetrics(t, ts.URL)
+	if n := refusals.Load(); n == 0 || snap.Counters["histstore.categories.refused"] != n {
+		t.Fatalf("histstore.categories.refused = %d, handler saw %d refusals",
+			snap.Counters["histstore.categories.refused"], n)
+	}
+	if snap.Gauges["histstore.categories"] != maxCats {
+		t.Fatalf("histstore.categories gauge = %v, want %d", snap.Gauges["histstore.categories"], maxCats)
+	}
+	if snap.Counters["http.observe.requests"] != 20 || snap.Counters["http.observe.errors"] != 0 {
+		t.Fatalf("observe requests/errors = %d/%d, want 20/0",
+			snap.Counters["http.observe.requests"], snap.Counters["http.observe.errors"])
 	}
 }

@@ -106,18 +106,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// MeanAbs returns the mean of |xs[i]|, or NaN for an empty slice.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Abs(x)
-	}
-	return sum / float64(len(xs))
-}
-
 // Online accumulates a running mean and variance using Welford's algorithm.
 // The zero value is ready to use.
 type Online struct {

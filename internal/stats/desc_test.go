@@ -95,12 +95,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestMeanAbs(t *testing.T) {
-	if got := MeanAbs([]float64{-2, 2, -4, 4}); got != 3 {
-		t.Fatalf("MeanAbs = %v, want 3", got)
-	}
-}
-
 func TestOnlineMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var o Online

@@ -6,9 +6,9 @@ import (
 )
 
 // This file provides trace transformations used in scheduling research
-// workflows: slicing a window out of a long trace, filtering by user or
-// queue, truncation, and load scaling (Compress, in profiles.go, is the
-// §4 interarrival transformation).
+// workflows: slicing a window out of a long trace, truncation, and the
+// failure and drift injections (Compress, in profiles.go, is the §4
+// interarrival transformation).
 
 // Window returns a deep copy containing the jobs submitted in [from, to),
 // with submit times rebased so the first job arrives at zero.
@@ -43,42 +43,6 @@ func (w *Workload) Head(n int) *Workload {
 	}
 	c.Jobs = c.Jobs[:n]
 	c.Name = fmt.Sprintf("%s[:%d]", w.Name, n)
-	return c
-}
-
-// Filter returns a deep copy containing the jobs for which keep returns
-// true, preserving submit order and times.
-func (w *Workload) Filter(keep func(*Job) bool) *Workload {
-	c := w.Clone()
-	var jobs []*Job
-	for _, j := range c.Jobs {
-		if keep(j) {
-			jobs = append(jobs, j)
-		}
-	}
-	c.Jobs = jobs
-	return c
-}
-
-// FilterUsers returns a deep copy with only the given users' jobs.
-func (w *Workload) FilterUsers(users ...string) *Workload {
-	set := make(map[string]bool, len(users))
-	for _, u := range users {
-		set[u] = true
-	}
-	c := w.Filter(func(j *Job) bool { return set[j.User] })
-	c.Name = fmt.Sprintf("%s/users=%d", w.Name, len(users))
-	return c
-}
-
-// FilterQueues returns a deep copy with only the given queues' jobs.
-func (w *Workload) FilterQueues(queues ...string) *Workload {
-	set := make(map[string]bool, len(queues))
-	for _, q := range queues {
-		set[q] = true
-	}
-	c := w.Filter(func(j *Job) bool { return set[j.Queue] })
-	c.Name = fmt.Sprintf("%s/queues=%d", w.Name, len(queues))
 	return c
 }
 
@@ -136,29 +100,5 @@ func (w *Workload) InjectRuntimeStep(at int, fill float64) *Workload {
 		j.RunTime = rt
 	}
 	c.Name = fmt.Sprintf("%s/step@%d fill=%.2f", w.Name, at, fill)
-	return c
-}
-
-// ScaleRuntimes multiplies every run time (and maximum run time) by factor,
-// flooring run times at one second. It changes the offered load without
-// touching the arrival process — the complement of Compress.
-func (w *Workload) ScaleRuntimes(factor float64) *Workload {
-	c := w.Clone()
-	if factor <= 0 {
-		return c
-	}
-	for _, j := range c.Jobs {
-		j.RunTime = int64(float64(j.RunTime) * factor)
-		if j.RunTime < 1 {
-			j.RunTime = 1
-		}
-		if j.MaxRunTime > 0 {
-			j.MaxRunTime = int64(float64(j.MaxRunTime) * factor)
-			if j.MaxRunTime < j.RunTime {
-				j.MaxRunTime = j.RunTime
-			}
-		}
-	}
-	c.Name = fmt.Sprintf("%s/rt*%.3g", w.Name, factor)
 	return c
 }

@@ -65,50 +65,6 @@ func TestHead(t *testing.T) {
 	}
 }
 
-func TestFilterUsers(t *testing.T) {
-	w := transformFixture()
-	f := w.FilterUsers("a")
-	if len(f.Jobs) != 2 {
-		t.Fatalf("filtered %d jobs", len(f.Jobs))
-	}
-	for _, j := range f.Jobs {
-		if j.User != "a" {
-			t.Fatalf("wrong user %q", j.User)
-		}
-	}
-}
-
-func TestFilterQueues(t *testing.T) {
-	w := transformFixture()
-	f := w.FilterQueues("q1", "q3")
-	if len(f.Jobs) != 3 {
-		t.Fatalf("filtered %d jobs", len(f.Jobs))
-	}
-}
-
-func TestScaleRuntimes(t *testing.T) {
-	w := transformFixture()
-	s := w.ScaleRuntimes(2.5)
-	if s.Jobs[0].RunTime != 250 || s.Jobs[0].MaxRunTime != 500 {
-		t.Fatalf("scaled job = %+v", s.Jobs[0])
-	}
-	if w.Jobs[0].RunTime != 100 {
-		t.Fatal("scaling mutated the original")
-	}
-	// Floor at one second and keep maxRT >= runtime.
-	tiny := w.ScaleRuntimes(1e-9)
-	for _, j := range tiny.Jobs {
-		if j.RunTime < 1 || (j.MaxRunTime > 0 && j.MaxRunTime < j.RunTime) {
-			t.Fatalf("degenerate scaled job %+v", j)
-		}
-	}
-	// Nonpositive factor is a no-op copy.
-	same := w.ScaleRuntimes(0)
-	if same.Jobs[0].RunTime != 100 {
-		t.Fatal("zero factor should not scale")
-	}
-}
-
 func TestInjectRuntimeStep(t *testing.T) {
 	w := transformFixture()
 	s := w.InjectRuntimeStep(2, 0.95)
@@ -140,18 +96,5 @@ func TestInjectRuntimeStep(t *testing.T) {
 	}
 	if n := w.InjectRuntimeStep(2, 0); n.Jobs[2].RunTime != 100 {
 		t.Fatal("zero fill should not change run times")
-	}
-}
-
-func TestScaleRuntimesChangesLoad(t *testing.T) {
-	// Large enough that the trace span dwarfs individual run times (the
-	// load denominator includes the trailing span of the last jobs).
-	w, err := Study("SDSC95", 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := w.ScaleRuntimes(2)
-	if r := up.OfferedLoad() / w.OfferedLoad(); r < 1.5 || r > 2.5 {
-		t.Fatalf("load ratio after 2x runtime scaling = %.2f", r)
 	}
 }
